@@ -239,6 +239,11 @@ pub fn note(line: String) {
     eprintln!("perfbench: {line}");
 }
 
+fn exit_with(code: i32, message: String) -> ! {
+    note(message);
+    std::process::exit(code)
+}
+
 /// Recomputes `expected.txt` at [`DEFAULT_SEED`] through the program's own
 /// entry points: `run_scheduler*`, `rlbf::train` and `RlbfAgent::schedule`.
 fn record_expected() -> Result<(), String> {
@@ -292,13 +297,7 @@ fn record_expected() -> Result<(), String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match parse_args(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("perfbench: {e}");
-            std::process::exit(2);
-        }
-    };
+    let command = parse_args(&args).unwrap_or_else(|e| exit_with(2, e));
     match host::pin_to_current_cpu() {
         Some(cpu) => note(format!("pinned to cpu {cpu}")),
         None => note(
@@ -308,17 +307,11 @@ fn main() {
     let opts = match command {
         Command::MakeAgent => match rl::make_agent() {
             Ok(()) => return note(format!("wrote {}", rl::AGENT_PATH)),
-            Err(e) => {
-                eprintln!("perfbench: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => exit_with(1, e),
         },
         Command::RecordExpected => match record_expected() {
             Ok(()) => return note(format!("wrote {EXPECTED_PATH}")),
-            Err(e) => {
-                eprintln!("perfbench: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => exit_with(1, e),
         },
         Command::Run(opts) => opts,
     };
