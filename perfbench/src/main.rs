@@ -37,7 +37,7 @@ const EXPECTED_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/expected.txt")
 /// region.
 pub const LATENCY_SAMPLES: usize = 200_000;
 /// Times the set-up is repeated; `setup_s` is the median.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 11;
 const WORKLOADS: [&str; 4] = ["sim_cons", "sim_route", "rl_train", "rl_deploy"];
 
 /// Options of one benchmark run.
