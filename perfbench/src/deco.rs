@@ -107,7 +107,8 @@ mod tests {
             Arc::new(TimedRouter(EarliestStart::default())),
             reroute,
         );
-        let rows = spans::self_times(&spans::stop());
+        spans::stop();
+        let rows = spans::recorded(spans::self_times);
         assert_eq!(plain.completed, timed.completed);
         assert_eq!(plain.migrations, timed.migrations);
         assert_eq!(rows["router.route"].calls as usize, trace.len());
@@ -124,7 +125,8 @@ mod tests {
         let a = ppo::ppo_update(&mut bare, &batch, &cfg.ppo);
         spans::start();
         let b = ppo::ppo_update(&mut TimedActorCritic(&mut wrapped), &batch, &cfg.ppo);
-        let rows = spans::self_times(&spans::stop());
+        spans::stop();
+        let rows = spans::recorded(spans::self_times);
         assert_eq!(a, b);
         assert_eq!(bare.to_json(), wrapped.to_json());
         let n = batch.len() as u64;

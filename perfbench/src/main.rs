@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perfbench --workload <sim_cons|sim_route|rl_train|rl_deploy> --seed <n>
-//!           --seconds <s> --trace <0|1> [--spans <file.tsv>]
+//!           --seconds <s> --trace <0|1>
 //! perfbench --make-agent        # retrain the committed rl_deploy agent
 //! perfbench --record-expected   # rewrite expected.txt from the library paths
 //! ```
@@ -10,7 +10,9 @@
 //! Every workload builds its inputs from the seed, measures for the given
 //! seconds, checks its outputs, and prints one JSON line last on stdout:
 //! end-to-end metrics untraced, per-layer metrics traced. A human summary
-//! goes to stderr. See README.md for the workloads and metrics.
+//! goes to stderr. A traced run also writes its last traced pass's spans
+//! to `target/spans-<workload>.tsv` in this package. See README.md for the
+//! workloads and metrics.
 
 mod alloc;
 mod deco;
@@ -23,8 +25,6 @@ mod stats;
 
 use report::Report;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 #[global_allocator]
@@ -33,6 +33,8 @@ static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
 /// The seed `expected.txt` was recorded at.
 pub const DEFAULT_SEED: u64 = 1;
 const EXPECTED_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/expected.txt");
+/// Where a traced run writes its spans.
+const SPANS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/target");
 /// Decision latencies kept per run, sampled uniformly over the timed
 /// region.
 pub const LATENCY_SAMPLES: usize = 200_000;
@@ -54,8 +56,6 @@ enum Command {
     MakeAgent,
     RecordExpected,
 }
-
-static SPANS_OUT: OnceLock<PathBuf> = OnceLock::new();
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
@@ -87,9 +87,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                     other => return Err(format!("--trace must be 0 or 1, not {other}")),
                 })
             }
-            "--spans" => {
-                let _ = SPANS_OUT.set(PathBuf::from(value()?));
-            }
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -103,17 +100,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         seconds: seconds.unwrap_or(10.0),
         trace: trace.unwrap_or(false),
     }))
-}
-
-/// The `i`-th seed derived from a run's seed (splitmix64), for inputs
-/// that are independent draws.
-pub fn sub_seed(seed: u64, i: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(i.wrapping_add(1).wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Builds a workload's inputs [`SETUP_REPS`] times, records the median
@@ -133,17 +119,17 @@ pub fn time_setup<T>(report: &mut Report, mut build: impl FnMut() -> T) -> T {
     last.expect("SETUP_REPS > 0")
 }
 
-/// Sets `decision_us_p50` (the mean of the central 1% of samples) and
-/// `decision_us_p99` (nearest rank, with at least ten samples beyond it)
-/// from per-decision latencies.
-pub fn set_latency(report: &mut Report, latencies: &mut stats::Reservoir) {
-    let seen = latencies.seen();
-    let latencies = &mut latencies.samples;
-    let n = latencies.len();
-    if let Some(p50) = stats::banded_percentile(latencies, 50.0, 0.5) {
+/// Sets `decision_us_p50` (the mean over units of each unit's median) and
+/// `decision_us_p99` (nearest rank over a uniform sample, with at least ten
+/// samples beyond it) from per-decision latencies.
+pub fn set_latency(report: &mut Report, latencies: &mut stats::Latencies) {
+    if let Some(p50) = latencies.p50() {
         report.set("decision_us_p50", p50);
     }
-    match stats::tail_percentile(latencies, 99.0) {
+    let seen = latencies.all.seen();
+    let samples = &mut latencies.all.samples;
+    let n = samples.len();
+    match stats::tail_percentile(samples, 99.0) {
         Some(t) => {
             report.set("decision_us_p99", t.value);
             note(format!(
@@ -166,10 +152,9 @@ pub fn traced<T>(pass: impl FnOnce() -> T) -> (T, BTreeMap<String, f64>, f64) {
     let t = Instant::now();
     let out = pass();
     let wall = t.elapsed().as_secs_f64();
-    let spans = spans::stop();
+    spans::stop();
     alloc::set_counting(false);
-    write_spans(&spans);
-    let rows = spans::self_times(&spans);
+    let rows = spans::recorded(spans::self_times);
     report::print_profile(&rows, wall);
     (out, report::layer_metrics(&rows, wall), wall)
 }
@@ -220,19 +205,14 @@ pub fn check_expected(report: &mut Report, seed: u64, values: &[(String, f64)]) 
     }
 }
 
-/// Writes a traced pass's spans if `--spans` named a file (the last pass
-/// wins).
-pub fn write_spans(spans: &[spans::Span]) {
-    let Some(path) = SPANS_OUT.get() else { return };
-    let written = std::fs::File::create(path)
-        .map(std::io::BufWriter::new)
-        .and_then(|mut f| {
-            spans::write_tsv(spans, &mut f)?;
-            std::io::Write::flush(&mut f)
-        });
-    if let Err(e) = written {
-        note(format!("cannot write spans to {}: {e}", path.display()));
-    }
+/// Writes the last traced pass's spans to `SPANS_DIR/spans-<workload>.tsv`.
+fn write_spans(workload: &str) -> std::io::Result<String> {
+    std::fs::create_dir_all(SPANS_DIR)?;
+    let path = format!("{SPANS_DIR}/spans-{workload}.tsv");
+    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
+    spans::recorded(|s| spans::write_tsv(s, &mut f))?;
+    std::io::Write::flush(&mut f)?;
+    Ok(path)
 }
 
 pub fn note(line: String) {
@@ -266,7 +246,7 @@ fn record_expected() -> Result<(), String> {
             / n;
         values.extend(sim::fingerprint(kind, bsld, easy, &outcomes));
     }
-    let trace = swf::TracePreset::Lublin1.generate(rl::TRAIN_TRACE_JOBS, seed);
+    let trace = rl::lublin_trace(seed, 0, rl::TRAIN_TRACE_JOBS);
     let trained = rlbf::train(&trace, rl::train_config_for_run(seed, 0));
     let epoch_bsld: Vec<f64> = trained.history.iter().map(|e| e.mean_bsld).collect();
     values.extend(rl::train_fingerprint(&epoch_bsld));
@@ -325,6 +305,12 @@ fn main() {
     }
     if let Some(mb) = host::peak_rss_mb() {
         report.set("peak_rss_mb", mb);
+    }
+    if opts.trace {
+        match write_spans(&opts.workload) {
+            Ok(path) => note(format!("wrote spans to {path}")),
+            Err(e) => note(format!("cannot write spans: {e}")),
+        }
     }
     for p in &report.problems {
         note(format!("check failed: {p}"));

@@ -5,15 +5,15 @@
 //!   from outside exactly as `rlbf::train` runs an epoch: roll out each
 //!   trajectory with the sampling policy, fold it into the GAE buffer, then
 //!   run the PPO update. A run trains many short, independently seeded
-//!   agents, because the cost of a decision depends on how full the queue
-//!   is; a unit is one epoch.
+//!   agents, each on its own seeded trace, because the cost of a decision
+//!   depends on how full the queue is; a unit is one epoch.
 //! * `rl_deploy` — the §4.3 protocol: the committed greedy agent schedules
-//!   sampled 1024-job windows of a Lublin-1 trace on the flat machine, one
-//!   window after another. A unit is one window.
+//!   sampled 1024-job windows of several seeded Lublin-1 traces on the
+//!   flat machine, one window after another. A unit is one window.
 
 use crate::deco::TimedActorCritic;
 use crate::report::Report;
-use crate::stats::{self, Reservoir};
+use crate::stats::{self, Latencies};
 use crate::{spans, Opts};
 use hpcsim::prelude::*;
 use ppo::{PpoConfig, RolloutBuffer, Step, UpdateStats};
@@ -27,20 +27,24 @@ use swf::{Trace, TracePreset};
 
 /// Observation slots of both RL workloads (the paper's value).
 pub const SLOTS: usize = 128;
-/// Jobs in the trace trajectories are sampled from.
-pub const TRAIN_TRACE_JOBS: usize = 50_000;
+/// Jobs in each training run's trace.
+pub const TRAIN_TRACE_JOBS: usize = 5_000;
 pub const TRAIN_EPOCHS: usize = 2;
 pub const TRAIN_TRAJ_PER_EPOCH: usize = 1;
 /// Training runs (each on its own seed) whose trajectories `bsld_vs_easy`
 /// is taken over; a run trains at least this many, and more while time
-/// remains.
-pub const TRAIN_QUALITY_RUNS: usize = 20;
+/// remains. It is also the number of traces: run `k` trains on trace
+/// `k % TRAIN_QUALITY_RUNS`.
+pub const TRAIN_QUALITY_RUNS: usize = 25;
 pub const TRAIN_JOBS_PER_TRAJ: usize = 256;
 /// π and V iterations per update (the KL early stop stays on).
 pub const TRAIN_PPO_ITERS: usize = 5;
 
-pub const DEPLOY_TRACE_JOBS: usize = 100_000;
-pub const DEPLOY_WINDOWS: usize = 96;
+/// Traces `rl_deploy` samples its windows from, and the windows it samples
+/// from each.
+pub const DEPLOY_TRACES: usize = 8;
+pub const DEPLOY_TRACE_JOBS: usize = 20_000;
+pub const DEPLOY_WINDOWS_PER_TRACE: usize = 12;
 pub const DEPLOY_WINDOW_JOBS: usize = 1024;
 
 /// The committed deploy agent.
@@ -86,13 +90,13 @@ struct Trajectory {
 }
 
 /// One episode with the sampling policy, timing each decision (`act_sample`
-/// plus `BackfillEnv::step`) into `latencies`.
+/// plus `BackfillEnv::step`) into `latencies` as one unit.
 fn rollout(
     trace: &Trace,
     ac: &BackfillActorCritic,
     cfg: &TrainConfig,
     seed: u64,
-    latencies: &mut Reservoir,
+    latencies: &mut Latencies,
 ) -> Result<Trajectory, EnvError> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let window = trace.sample_window(cfg.jobs_per_traj, &mut rng);
@@ -120,6 +124,7 @@ fn rollout(
             log_prob,
         });
     }
+    latencies.end_unit();
     let bsld = {
         let _s = spans::span("hpcsim.metrics");
         env.metrics().mean_bounded_slowdown
@@ -169,7 +174,7 @@ pub fn train_run(
     trace: &Trace,
     cfg: &TrainConfig,
     traced: bool,
-    latencies: &mut Reservoir,
+    latencies: &mut Latencies,
 ) -> Result<Vec<Epoch>, EnvError> {
     let mut ac = BackfillActorCritic::new(cfg.net.clone(), cfg.seed);
     let mut epochs = Vec::with_capacity(cfg.epochs);
@@ -225,7 +230,7 @@ pub fn smoke_batch(trace: &Trace, cfg: &TrainConfig) -> ppo::Batch<Observation> 
     let ac = BackfillActorCritic::new(cfg.net.clone(), 1);
     let mut buffer = RolloutBuffer::new(cfg.ppo.gamma, cfg.ppo.lambda);
     for t in 0..2 {
-        let tr = rollout(trace, &ac, cfg, traj_seed(2, 0, t), &mut Reservoir::new(0)).unwrap();
+        let tr = rollout(trace, &ac, cfg, traj_seed(2, 0, t), &mut Latencies::new(0)).unwrap();
         buffer.absorb_trajectory(tr.steps, 0.0);
     }
     buffer.into_batch()
@@ -272,21 +277,29 @@ pub fn train_fingerprint(epoch_bsld: &[f64]) -> Vec<(String, f64)> {
 
 /// The configuration of training run `k` of a run seeded `seed`.
 pub fn train_config_for_run(seed: u64, k: usize) -> TrainConfig {
-    train_config(crate::sub_seed(seed, k as u64))
+    train_config(desim::replication_seed(seed, k as u64))
+}
+
+/// The `i`-th Lublin-1 trace of a run seeded `seed`, `jobs` long.
+pub fn lublin_trace(seed: u64, i: usize, jobs: usize) -> Trace {
+    TracePreset::Lublin1.generate(jobs, desim::replication_seed(seed, i as u64))
 }
 
 pub fn run_train(opts: &Opts, report: &mut Report) {
-    let trace = crate::time_setup(report, || {
-        TracePreset::Lublin1.generate(TRAIN_TRACE_JOBS, opts.seed)
+    let traces: Vec<Trace> = crate::time_setup(report, || {
+        (0..TRAIN_QUALITY_RUNS)
+            .map(|i| lublin_trace(opts.seed, i, TRAIN_TRACE_JOBS))
+            .collect()
     });
-    let mut latencies = Reservoir::new(crate::LATENCY_SAMPLES);
+    let mut latencies = Latencies::new(crate::LATENCY_SAMPLES);
     let mut runs: Vec<Vec<Epoch>> = Vec::new();
     let mut layer_samples = Vec::new();
     let start = Instant::now();
     while runs.len() < TRAIN_QUALITY_RUNS || start.elapsed().as_secs_f64() < opts.seconds {
         let cfg = train_config_for_run(opts.seed, runs.len());
+        let trace = &traces[runs.len() % traces.len()];
         let untraced = catch_unwind(AssertUnwindSafe(|| {
-            train_run(&trace, &cfg, false, &mut latencies)
+            train_run(trace, &cfg, false, &mut latencies)
         }));
         let Ok(Ok(run)) = untraced else {
             (0..cfg.epochs).for_each(|_| report.unit(false));
@@ -299,7 +312,7 @@ pub fn run_train(opts: &Opts, report: &mut Report) {
         if opts.trace {
             let (traced, mut m, wall) = crate::traced(|| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    train_run(&trace, &cfg, true, &mut Reservoir::new(0))
+                    train_run(trace, &cfg, true, &mut Latencies::new(0))
                 }))
             });
             let same = matches!(&traced, Ok(Ok(t)) if same_run(t, &run));
@@ -323,10 +336,10 @@ pub fn run_train(opts: &Opts, report: &mut Report) {
     // bitwise.
     let again = catch_unwind(AssertUnwindSafe(|| {
         train_run(
-            &trace,
+            &traces[0],
             &train_config_for_run(opts.seed, 0),
             false,
-            &mut Reservoir::new(0),
+            &mut Latencies::new(0),
         )
     }));
     let repeats = matches!(&again, Ok(Ok(r)) if same_run(r, &runs[0]));
@@ -343,7 +356,7 @@ pub fn run_train(opts: &Opts, report: &mut Report) {
 
     let epochs: Vec<&Epoch> = runs.iter().flatten().collect();
     let rate = |f: fn(&Epoch) -> usize| {
-        stats::median_rate(
+        stats::mean_rate(
             &epochs
                 .iter()
                 .map(|e| (f(e) as f64, e.secs))
@@ -398,8 +411,12 @@ impl DeployInputs {
                 "checkpoint observes {env_slots} (env) / {net_slots} (net) slots; rl_deploy needs {SLOTS}"
             ));
         }
-        let trace = TracePreset::Lublin1.generate(DEPLOY_TRACE_JOBS, seed);
-        let windows = rlbf::sample_windows(&trace, DEPLOY_WINDOWS, DEPLOY_WINDOW_JOBS, seed);
+        let windows = (0..DEPLOY_TRACES)
+            .flat_map(|i| {
+                let trace = lublin_trace(seed, i, DEPLOY_TRACE_JOBS);
+                rlbf::sample_windows(&trace, DEPLOY_WINDOWS_PER_TRACE, DEPLOY_WINDOW_JOBS, seed)
+            })
+            .collect();
         Ok(Self { agent, windows })
     }
 }
@@ -413,13 +430,14 @@ struct WindowOutcome {
 }
 
 /// Schedules one window greedily, as `RlbfAgent::schedule` does, timing
-/// each decision (`act_greedy` plus `BackfillEnv::step`). Traced, it also
-/// encodes every decision's observation once more, for `rlbf.obs_encode`.
+/// each decision (`act_greedy` plus `BackfillEnv::step`) into `latencies`
+/// as one unit. Traced, it also encodes every decision's observation once
+/// more, for `rlbf.obs_encode`.
 fn deploy_window(
     agent: &RlbfAgent,
     w: &Trace,
     traced: bool,
-    latencies: &mut Reservoir,
+    latencies: &mut Latencies,
 ) -> Result<WindowOutcome, EnvError> {
     let mut env = {
         let _s = spans::span("rlbf.env_new");
@@ -445,6 +463,7 @@ fn deploy_window(
         }
         latencies.push(t.elapsed().as_secs_f64() * 1e6);
     }
+    latencies.end_unit();
     let metrics = {
         let _s = spans::span("hpcsim.metrics");
         env.metrics()
@@ -476,7 +495,7 @@ pub fn run_deploy(opts: &Opts, report: &mut Report) {
     let n = inputs.windows.len() as f64;
     let easy = inputs.windows.iter().map(easy_bsld).sum::<f64>() / n;
 
-    let mut latencies = Reservoir::new(crate::LATENCY_SAMPLES);
+    let mut latencies = Latencies::new(crate::LATENCY_SAMPLES);
     let mut first: Option<Vec<Option<WindowOutcome>>> = None;
     let mut units: Vec<(f64, f64, f64)> = Vec::new();
     let mut layer_samples = Vec::new();
@@ -513,7 +532,7 @@ pub fn run_deploy(opts: &Opts, report: &mut Report) {
                     .iter()
                     .map(|w| {
                         catch_unwind(AssertUnwindSafe(|| {
-                            deploy_window(&inputs.agent, w, true, &mut Reservoir::new(0))
+                            deploy_window(&inputs.agent, w, true, &mut Latencies::new(0))
                         }))
                         .ok()
                         .and_then(Result::ok)
@@ -534,7 +553,7 @@ pub fn run_deploy(opts: &Opts, report: &mut Report) {
         }
     }
     let rate = |f: fn(&(f64, f64, f64)) -> f64| {
-        stats::median_rate(&units.iter().map(|u| (f(u), u.2)).collect::<Vec<_>>())
+        stats::mean_rate(&units.iter().map(|u| (f(u), u.2)).collect::<Vec<_>>())
     };
     if let Some(v) = rate(|u| u.0) {
         report.set("jobs_per_s", v);
@@ -610,8 +629,8 @@ mod tests {
         cfg.pretrain_episodes = 0;
         cfg.epochs = 2;
         let lib = rlbf::train(&trace, cfg.clone());
-        let ours = train_run(&trace, &cfg, false, &mut Reservoir::new(0)).unwrap();
-        let traced = train_run(&trace, &cfg, true, &mut Reservoir::new(0)).unwrap();
+        let ours = train_run(&trace, &cfg, false, &mut Latencies::new(0)).unwrap();
+        let traced = train_run(&trace, &cfg, true, &mut Latencies::new(0)).unwrap();
         assert_eq!(lib.history.len(), ours.len());
         for ((l, o), t) in lib.history.iter().zip(&ours).zip(&traced) {
             assert_eq!(l.mean_bsld.to_bits(), o.mean_bsld.to_bits());

@@ -9,12 +9,16 @@
 //!   `EarliestStart` router and decision-point migration (3 moves per job,
 //!   60 s minimum gain): the only workload where `cluster::router` matters.
 //!
-//! Both schedule many disjoint windows of one seeded trace; a unit is one
-//! window scheduled to completion.
+//! Both schedule disjoint windows of four independently seeded traces, so
+//! one trace's load level does not set a run's figures; a unit is one
+//! window scheduled to completion. `sim_route`'s windows are long (10,000
+//! jobs) because queue backlog builds over a window and the router's
+//! `reroute` calls per job grow with it: about 15 per job in 1,000-job
+//! windows, 55 in 10,000-job ones, 120 in a 40,000-job one.
 
 use crate::deco::TimedRouter;
 use crate::report::Report;
-use crate::stats::{self, Reservoir};
+use crate::stats::{self, Latencies};
 use crate::{spans, Opts};
 use hpcsim::conservative::conservative_pass;
 use hpcsim::easy::easy_pass;
@@ -34,11 +38,13 @@ pub enum Kind {
     Route,
 }
 
+/// Seeded traces per workload.
+pub const TRACES: usize = 4;
 /// Windows per trace and jobs per window.
-pub const CONS_WINDOWS: usize = 200;
+pub const CONS_WINDOWS: usize = 50;
 pub const CONS_WINDOW_JOBS: usize = 2000;
-pub const ROUTE_WINDOWS: usize = 200;
-pub const ROUTE_WINDOW_JOBS: usize = 1000;
+pub const ROUTE_WINDOWS: usize = 11;
+pub const ROUTE_WINDOW_JOBS: usize = 5_000;
 const ROUTE_PARTS: usize = 4;
 
 const ESTIMATOR: RuntimeEstimator = RuntimeEstimator::RequestTime;
@@ -52,7 +58,7 @@ pub struct Inputs {
     kind: Kind,
     pub windows: Vec<Trace>,
     spec: ClusterSpec,
-    /// Seconds spent generating the trace.
+    /// Seconds spent generating the traces.
     pub trace_gen_s: f64,
 }
 
@@ -63,29 +69,41 @@ impl Inputs {
             Kind::Cons => (CONS_WINDOWS, CONS_WINDOW_JOBS),
             Kind::Route => (ROUTE_WINDOWS, ROUTE_WINDOW_JOBS),
         };
-        let source = match kind {
-            Kind::Cons => TraceSource::Preset {
-                preset: TracePreset::Lublin1,
-                jobs: n * len,
-                seed,
-            },
-            Kind::Route => TraceSource::PartitionedPreset {
-                preset: TracePreset::Lublin1,
-                parts: ROUTE_PARTS,
-                jobs: n * len,
-                seed,
-            },
-        };
-        let trace = source.materialize().expect("generator-backed source");
+        let sources: Vec<TraceSource> = (0..TRACES)
+            .map(|i| {
+                let seed = desim::replication_seed(seed, i as u64);
+                match kind {
+                    Kind::Cons => TraceSource::Preset {
+                        preset: TracePreset::Lublin1,
+                        jobs: n * len,
+                        seed,
+                    },
+                    Kind::Route => TraceSource::PartitionedPreset {
+                        preset: TracePreset::Lublin1,
+                        parts: ROUTE_PARTS,
+                        jobs: n * len,
+                        seed,
+                    },
+                }
+            })
+            .collect();
+        let traces: Vec<Trace> = sources
+            .iter()
+            .map(|s| s.materialize().expect("generator-backed source"))
+            .collect();
         let trace_gen_s = t.elapsed().as_secs_f64();
-        let spec = match source.layout() {
+        // The machine depends on the preset only, not on the seed.
+        let spec = match sources[0].layout() {
             Some(layout) => ClusterSpec::from_layout(&layout),
-            None => ClusterSpec::homogeneous(trace.cluster_procs()),
+            None => ClusterSpec::homogeneous(traces[0].cluster_procs()),
         };
-        // The partition width clamp can shorten the trace; cut only whole
+        // The partition width clamp can shorten a trace; cut only whole
         // windows.
-        let windows = (0..n.min(trace.len() / len))
-            .map(|i| trace.window(i * len, len))
+        let windows = traces
+            .iter()
+            .flat_map(|trace| {
+                (0..n.min(trace.len() / len)).map(move |i| trace.window(i * len, len))
+            })
             .collect();
         Self {
             kind,
@@ -195,13 +213,13 @@ impl Outcome {
 
 /// Schedules window `w` through the decision-point API, timing each
 /// decision (one `advance` plus the pass at the point it stops on) into
-/// `latencies`. Spans fire only while the tracer is on.
+/// `latencies` as one unit. Spans fire only while the tracer is on.
 fn drive<P: Probe>(
     inputs: &Inputs,
     w: &Trace,
     router: Arc<dyn Router>,
     probe: P,
-    latencies: &mut Reservoir,
+    latencies: &mut Latencies,
 ) -> (Outcome, usize, P) {
     let mut sim = ProbedSimulation::with_cluster_rerouted_probed(
         w,
@@ -233,6 +251,7 @@ fn drive<P: Probe>(
         decisions += 1;
         latencies.push(t.elapsed().as_secs_f64() * 1e6);
     }
+    latencies.end_unit();
     let metrics = {
         let _s = spans::span("hpcsim.metrics");
         Metrics::of(sim.completed(), inputs.spec.total_procs())
@@ -255,7 +274,7 @@ struct Unit {
 }
 
 /// One untraced pass over every window; `None` for a window that panicked.
-fn pass(inputs: &Inputs, latencies: &mut Reservoir) -> (Vec<Option<Outcome>>, Vec<Unit>, f64) {
+fn pass(inputs: &Inputs, latencies: &mut Latencies) -> (Vec<Option<Outcome>>, Vec<Unit>, f64) {
     let t_pass = Instant::now();
     let mut outcomes = Vec::with_capacity(inputs.windows.len());
     let mut units = Vec::with_capacity(inputs.windows.len());
@@ -285,7 +304,7 @@ fn pass(inputs: &Inputs, latencies: &mut Reservoir) -> (Vec<Option<Outcome>>, Ve
 fn traced_pass(inputs: &Inputs) -> (Vec<Option<Outcome>>, BTreeMap<String, f64>, f64) {
     let mut telemetry = Telemetry::default();
     let (outcomes, mut m, wall) = crate::traced(|| {
-        let mut untimed = Reservoir::new(0);
+        let mut untimed = Latencies::new(0);
         inputs
             .windows
             .iter()
@@ -385,7 +404,7 @@ pub fn run(kind: Kind, opts: &Opts, report: &mut Report) {
         || "library run lost jobs".into(),
     );
 
-    let mut latencies = Reservoir::new(crate::LATENCY_SAMPLES);
+    let mut latencies = Latencies::new(crate::LATENCY_SAMPLES);
     let mut units = Vec::new();
     let mut pass_secs = Vec::new();
     let mut layer_samples = Vec::new();
@@ -411,7 +430,7 @@ pub fn run(kind: Kind, opts: &Opts, report: &mut Report) {
 
     let ok_units: Vec<&Unit> = units.iter().filter(|u| u.ok).collect();
     let rate = |f: fn(&Unit) -> f64| {
-        stats::median_rate(&ok_units.iter().map(|u| (f(u), u.secs)).collect::<Vec<_>>())
+        stats::mean_rate(&ok_units.iter().map(|u| (f(u), u.secs)).collect::<Vec<_>>())
     };
     if let Some(v) = rate(|u| u.jobs) {
         report.set("jobs_per_s", v);

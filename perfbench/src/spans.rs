@@ -67,8 +67,8 @@ pub fn start() {
     });
 }
 
-/// Stops recording and hands back the spans, in start order.
-pub fn stop() -> Vec<Span> {
+/// Stops recording. The spans stay in memory until the next [`start`].
+pub fn stop() {
     TRACER.with(|t| {
         let mut t = t.borrow_mut();
         if t.on {
@@ -76,8 +76,12 @@ pub fn stop() -> Vec<Span> {
         }
         t.on = false;
         assert!(t.open.is_empty(), "span still open at stop");
-        std::mem::take(&mut t.spans)
     })
+}
+
+/// Calls `f` on this thread's last recording, in start order.
+pub fn recorded<T>(f: impl FnOnce(&[Span]) -> T) -> T {
+    TRACER.with(|t| f(&t.borrow().spans))
 }
 
 /// Closes its span when dropped.
@@ -217,21 +221,24 @@ mod tests {
     }
 
     #[test]
-    fn guards_record_nesting_and_stop_returns_spans() {
+    fn guards_record_nesting_and_stop_keeps_spans() {
         start();
         {
             let _outer = span("outer");
             let _inner = span("inner");
         }
-        let spans = stop();
+        stop();
+        // Off again: a span opened now is not recorded.
+        drop(span("off"));
+        let spans = recorded(<[Span]>::to_vec);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "outer");
         assert_eq!(spans[1].parent, Some(0));
         assert!(spans[0].end_ns >= spans[1].end_ns);
-        // Off again: a span opened now is not recorded.
-        drop(span("off"));
+        // The next recording starts empty.
         start();
-        assert!(stop().is_empty());
+        stop();
+        assert_eq!(recorded(<[Span]>::len), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Order statistics used by every workload: medians, per-unit-median rates
-//! and tail percentiles that are only reported where the sample supports
-//! them.
+//! Statistics used by every workload: medians, per-unit means of rates
+//! and of latency medians, and tail percentiles that are only reported
+//! where the sample supports them.
 
 /// Median of `xs` (mean of the two middle values for an even count).
 /// `None` when `xs` is empty or holds a NaN.
@@ -18,16 +18,22 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     })
 }
 
-/// The median of per-unit rates `work / seconds` — not one total over one
-/// total, so a co-tenant burst moves one sample instead of the metric.
-/// Units with no elapsed time are ignored.
-pub fn median_rate(units: &[(f64, f64)]) -> Option<f64> {
+/// The mean of per-unit rates `work / seconds`. A rate cannot fall below
+/// zero, so a unit slowed by a co-tenant burst moves the mean by at most
+/// its own share. Not a median: the host's speed switches between two
+/// levels every few seconds, and a median of units then snaps to whichever
+/// level held the majority of a run. Units with no elapsed time are
+/// ignored; `None` when no unit is left or a rate is NaN.
+pub fn mean_rate(units: &[(f64, f64)]) -> Option<f64> {
     let rates: Vec<f64> = units
         .iter()
         .filter(|(_, secs)| *secs > 0.0)
         .map(|(work, secs)| work / secs)
         .collect();
-    median(&rates)
+    if rates.is_empty() || rates.iter().any(|r| r.is_nan()) {
+        return None;
+    }
+    Some(rates.iter().sum::<f64>() / rates.len() as f64)
 }
 
 /// Samples that must lie strictly beyond a reported tail percentile.
@@ -61,22 +67,6 @@ pub fn tail_percentile(xs: &mut [f64], pct: f64) -> Option<Tail> {
         value: xs[idx],
         beyond: n - 1 - idx,
     })
-}
-
-/// The mean of the samples ranked within `band` percentage points of the
-/// `pct`-th percentile: a percentile that does not snap to the timer's
-/// nanosecond grid when thousands of samples share a value. `None` when
-/// `xs` is empty or holds a NaN. `xs` is sorted in place.
-pub fn banded_percentile(xs: &mut [f64], pct: f64, band: f64) -> Option<f64> {
-    let n = xs.len();
-    if n == 0 || xs.iter().any(|x| x.is_nan()) {
-        return None;
-    }
-    xs.sort_by(f64::total_cmp);
-    let at = |p: f64| (((p / 100.0) * n as f64).round() as usize).min(n - 1);
-    let (lo, hi) = (at(pct - band), at(pct + band));
-    let slice = &xs[lo..=hi.max(lo)];
-    Some(slice.iter().sum::<f64>() / slice.len() as f64)
 }
 
 /// A uniform sample of at most `cap` values from a stream of unknown
@@ -124,6 +114,47 @@ impl Reservoir {
     }
 }
 
+/// A run's per-decision latencies: a uniform sample of all of them for the
+/// tail, and each unit's median for the typical decision.
+#[derive(Debug, Clone)]
+pub struct Latencies {
+    pub all: Reservoir,
+    unit: Vec<f64>,
+    unit_medians: Vec<f64>,
+}
+
+impl Latencies {
+    /// Keeps at most `cap` values in [`Latencies::all`].
+    pub fn new(cap: usize) -> Self {
+        Self {
+            all: Reservoir::new(cap),
+            unit: Vec::new(),
+            unit_medians: Vec::new(),
+        }
+    }
+
+    pub fn push(&mut self, x: f64) {
+        self.all.push(x);
+        self.unit.push(x);
+    }
+
+    /// Closes the current unit and records its median.
+    pub fn end_unit(&mut self) {
+        if let Some(m) = median(&self.unit) {
+            self.unit_medians.push(m);
+        }
+        self.unit.clear();
+    }
+
+    /// The mean over units of each unit's median. Like [`mean_rate`], a
+    /// mean over units rather than one median of all samples, which would
+    /// snap to whichever host speed held most of a run.
+    pub fn p50(&self) -> Option<f64> {
+        let n = self.unit_medians.len();
+        (n > 0).then(|| self.unit_medians.iter().sum::<f64>() / n as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +168,19 @@ mod tests {
     }
 
     #[test]
-    fn median_rate_takes_the_median_of_unit_rates_not_the_total() {
-        // Totals would give 300 / 4.0 = 75; the per-unit rates are
-        // 100, 100 and 20 (one slow unit), whose median is 100.
-        let units = [(100.0, 1.0), (100.0, 1.0), (100.0, 5.0)];
-        assert_eq!(median_rate(&units), Some(100.0));
+    fn mean_rate_averages_unit_rates_not_the_total() {
+        // Totals would give 300 / 4.5 = 66.7; the per-unit rates are 100,
+        // 100 and 40, whose mean is 80.
+        let units = [(100.0, 1.0), (100.0, 1.0), (100.0, 2.5)];
+        assert_eq!(mean_rate(&units), Some(80.0));
+        // One unit slowed 100-fold costs the mean at most its own share.
+        let mut burst = vec![(100.0, 1.0); 9];
+        burst.push((100.0, 100.0));
+        assert!(mean_rate(&burst).unwrap() >= 90.0);
         // Zero-length units are dropped, not divided by.
-        assert_eq!(median_rate(&[(5.0, 0.0), (10.0, 2.0)]), Some(5.0));
-        assert_eq!(median_rate(&[]), None);
+        assert_eq!(mean_rate(&[(5.0, 0.0), (10.0, 2.0)]), Some(5.0));
+        assert_eq!(mean_rate(&[]), None);
+        assert_eq!(mean_rate(&[(f64::NAN, 1.0)]), None);
     }
 
     #[test]
@@ -174,18 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_percentile_averages_the_central_ranks() {
-        let mut xs: Vec<f64> = (0..1000).rev().map(f64::from).collect();
-        // Ranks 495..=505 around the median: mean 500.
-        assert_eq!(banded_percentile(&mut xs, 50.0, 0.5), Some(500.0));
-        // A zero band is the single nearest-rank sample.
-        assert_eq!(banded_percentile(&mut xs, 50.0, 0.0), Some(500.0));
-        let mut one = [7.0];
-        assert_eq!(banded_percentile(&mut one, 50.0, 0.5), Some(7.0));
-        assert_eq!(banded_percentile(&mut [], 50.0, 0.5), None);
-    }
-
-    #[test]
     fn reservoir_keeps_a_bounded_uniform_sample() {
         let mut r = Reservoir::new(1000);
         for i in 0..100_000 {
@@ -200,6 +224,20 @@ mod tests {
         let mut short = Reservoir::new(10);
         (0..5).for_each(|i| short.push(f64::from(i)));
         assert_eq!(short.samples, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn p50_is_the_mean_of_unit_medians() {
+        let mut l = Latencies::new(100);
+        [1.0, 2.0, 30.0].into_iter().for_each(|x| l.push(x));
+        l.end_unit();
+        [10.0, 20.0].into_iter().for_each(|x| l.push(x));
+        l.end_unit();
+        // An empty unit records nothing.
+        l.end_unit();
+        assert_eq!(l.p50(), Some((2.0 + 15.0) / 2.0));
+        assert_eq!(l.all.samples.len(), 5);
+        assert_eq!(Latencies::new(10).p50(), None);
     }
 
     #[test]
