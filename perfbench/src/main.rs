@@ -35,9 +35,13 @@ pub const DEFAULT_SEED: u64 = 1;
 const EXPECTED_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/expected.txt");
 /// Where a traced run writes its spans.
 const SPANS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/target");
-/// Decision latencies kept per run, sampled uniformly over the timed
-/// region.
+/// Decision latencies sampled per run for `decision_us_p99`, uniformly
+/// over the timed region.
 pub const LATENCY_SAMPLES: usize = 200_000;
+/// Passes every run makes at least, whatever `--seconds` says: the second
+/// pass checks that the first repeats bitwise, and gives every unit a
+/// second time to take the fastest of.
+pub const MIN_PASSES: usize = 2;
 /// Times the set-up is repeated; `setup_s` is the median.
 const SETUP_REPS: usize = 11;
 const WORKLOADS: [&str; 4] = ["sim_cons", "sim_route", "rl_train", "rl_deploy"];
@@ -119,27 +123,43 @@ pub fn time_setup<T>(report: &mut Report, mut build: impl FnMut() -> T) -> T {
     last.expect("SETUP_REPS > 0")
 }
 
-/// Sets `decision_us_p50` (the mean over units of each unit's median) and
-/// `decision_us_p99` (nearest rank over a uniform sample, with at least ten
-/// samples beyond it) from per-decision latencies.
-pub fn set_latency(report: &mut Report, latencies: &mut stats::Latencies) {
-    if let Some(p50) = latencies.p50() {
+/// Sets `decision_us_p50` (the median of each decision's fastest latency
+/// over the run's passes) and `decision_us_p99` (nearest rank over a
+/// uniform sample of every timed decision, with at least ten samples
+/// beyond it).
+pub fn set_latency(report: &mut Report, latencies: &mut stats::Latencies, passes: usize) {
+    let decisions = latencies.fastest.count();
+    if let Some(p50) = stats::median(&latencies.fastest.values()) {
         report.set("decision_us_p50", p50);
     }
     let seen = latencies.all.seen();
     let samples = &mut latencies.all.samples;
     let n = samples.len();
+    note(format!(
+        "decision latency: p50 over the fastest of {passes} passes for each of {decisions} decisions"
+    ));
     match stats::tail_percentile(samples, 99.0) {
         Some(t) => {
             report.set("decision_us_p99", t.value);
             note(format!(
-                "decision latency: {n} samples of {seen} decisions, p{:.2} = {:.3} us with {} beyond",
+                "decision latency: {n} samples of {seen} timed decisions, p{:.2} = {:.3} us with {} beyond",
                 t.pct, t.value, t.beyond
             ));
         }
         None => note(format!(
             "decision latency: only {n} samples, no tail reported"
         )),
+    }
+}
+
+/// Sets `peak_rss_mb` from the process's peak so far. Every workload calls
+/// it when its timed region ends, before the benchmark's own statistics
+/// copy the recorded latencies: where those copies land depends on the
+/// allocator's free lists, and measured that way the figure jumped by
+/// 4 MB between runs of the same seed.
+pub fn set_peak_rss(report: &mut Report) {
+    if let Some(mb) = host::peak_rss_mb() {
+        report.set("peak_rss_mb", mb);
     }
 }
 
@@ -302,9 +322,6 @@ fn main() {
         "rl_train" => rl::run_train(&opts, &mut report),
         "rl_deploy" => rl::run_deploy(&opts, &mut report),
         _ => unreachable!("parse_args validates the workload"),
-    }
-    if let Some(mb) = host::peak_rss_mb() {
-        report.set("peak_rss_mb", mb);
     }
     if opts.trace {
         match write_spans(&opts.workload) {

@@ -4,16 +4,17 @@
 //!   the paper's 128-slot observations and 256-job trajectories, driven
 //!   from outside exactly as `rlbf::train` runs an epoch: roll out each
 //!   trajectory with the sampling policy, fold it into the GAE buffer, then
-//!   run the PPO update. A run trains many short, independently seeded
-//!   agents, each on its own seeded trace, because the cost of a decision
-//!   depends on how full the queue is; a unit is one epoch.
+//!   run the PPO update. A pass trains several short, independently seeded
+//!   agents from scratch, each on its own seeded trace, because the cost of
+//!   a decision depends on how full the queue is; a unit is one epoch, and
+//!   every pass repeats the same training runs bitwise.
 //! * `rl_deploy` — the §4.3 protocol: the committed greedy agent schedules
 //!   sampled 1024-job windows of several seeded Lublin-1 traces on the
 //!   flat machine, one window after another. A unit is one window.
 
 use crate::deco::TimedActorCritic;
 use crate::report::Report;
-use crate::stats::{self, Latencies};
+use crate::stats::{self, Fastest, Latencies};
 use crate::{spans, Opts};
 use hpcsim::prelude::*;
 use ppo::{PpoConfig, RolloutBuffer, Step, UpdateStats};
@@ -31,14 +32,12 @@ pub const SLOTS: usize = 128;
 pub const TRAIN_TRACE_JOBS: usize = 5_000;
 pub const TRAIN_EPOCHS: usize = 2;
 pub const TRAIN_TRAJ_PER_EPOCH: usize = 1;
-/// Training runs (each on its own seed) whose trajectories `bsld_vs_easy`
-/// is taken over; a run trains at least this many, and more while time
-/// remains. It is also the number of traces: run `k` trains on trace
-/// `k % TRAIN_QUALITY_RUNS`.
-pub const TRAIN_QUALITY_RUNS: usize = 25;
+/// Training runs in a pass, each with its own seed and its own trace;
+/// `bsld_vs_easy` is taken over their trajectories.
+pub const TRAIN_RUNS: usize = 25;
 pub const TRAIN_JOBS_PER_TRAJ: usize = 256;
 /// π and V iterations per update (the KL early stop stays on).
-pub const TRAIN_PPO_ITERS: usize = 5;
+pub const TRAIN_PPO_ITERS: usize = 2;
 
 /// Traces `rl_deploy` samples its windows from, and the windows it samples
 /// from each.
@@ -90,7 +89,7 @@ struct Trajectory {
 }
 
 /// One episode with the sampling policy, timing each decision (`act_sample`
-/// plus `BackfillEnv::step`) into `latencies` as one unit.
+/// plus `BackfillEnv::step`) into `latencies`.
 fn rollout(
     trace: &Trace,
     ac: &BackfillActorCritic,
@@ -124,7 +123,6 @@ fn rollout(
             log_prob,
         });
     }
-    latencies.end_unit();
     let bsld = {
         let _s = spans::span("hpcsim.metrics");
         env.metrics().mean_bounded_slowdown
@@ -287,32 +285,52 @@ pub fn lublin_trace(seed: u64, i: usize, jobs: usize) -> Trace {
 
 pub fn run_train(opts: &Opts, report: &mut Report) {
     let traces: Vec<Trace> = crate::time_setup(report, || {
-        (0..TRAIN_QUALITY_RUNS)
+        (0..TRAIN_RUNS)
             .map(|i| lublin_trace(opts.seed, i, TRAIN_TRACE_JOBS))
             .collect()
     });
+    let configs: Vec<TrainConfig> = (0..TRAIN_RUNS)
+        .map(|k| train_config_for_run(opts.seed, k))
+        .collect();
+    let mut epoch_secs = Fastest::default();
     let mut latencies = Latencies::new(crate::LATENCY_SAMPLES);
-    let mut runs: Vec<Vec<Epoch>> = Vec::new();
+    // The first pass's runs, which every later pass must repeat bitwise.
+    let mut first: Vec<Option<Vec<Epoch>>> = Vec::new();
     let mut layer_samples = Vec::new();
+    // Warm-up outside the timed region: the host's first seconds of work
+    // run measurably slower.
+    let _ = catch_unwind(AssertUnwindSafe(|| {
+        train_run(&traces[0], &configs[0], false, &mut Latencies::new(0))
+    }));
+    let mut passes = 0;
     let start = Instant::now();
-    while runs.len() < TRAIN_QUALITY_RUNS || start.elapsed().as_secs_f64() < opts.seconds {
-        let cfg = train_config_for_run(opts.seed, runs.len());
-        let trace = &traces[runs.len() % traces.len()];
-        let untraced = catch_unwind(AssertUnwindSafe(|| {
-            train_run(trace, &cfg, false, &mut latencies)
-        }));
-        let Ok(Ok(run)) = untraced else {
-            (0..cfg.epochs).for_each(|_| report.unit(false));
-            report.check(false, || format!("training run {} failed", runs.len()));
-            break;
-        };
-        for e in &run {
-            report.unit(e.finite());
-        }
-        if opts.trace {
+    while passes < crate::MIN_PASSES || start.elapsed().as_secs_f64() < opts.seconds {
+        passes += 1;
+        epoch_secs.restart();
+        latencies.restart();
+        for (k, (trace, cfg)) in traces.iter().zip(&configs).enumerate() {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                train_run(trace, cfg, false, &mut latencies)
+            }))
+            .ok()
+            .and_then(Result::ok);
+            if first.len() == k {
+                first.push(run.clone());
+            }
+            for e in 0..cfg.epochs {
+                let ok = match (&run, &first[k]) {
+                    (Some(r), Some(f)) => r[e].finite() && r[e].same_as(&f[e]),
+                    _ => false,
+                };
+                report.unit(ok);
+                epoch_secs.push(run.as_ref().map_or(f64::INFINITY, |r| r[e].secs));
+            }
+            let Some(run) = run.filter(|_| opts.trace) else {
+                continue;
+            };
             let (traced, mut m, wall) = crate::traced(|| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    train_run(trace, &cfg, true, &mut Latencies::new(0))
+                    train_run(trace, cfg, true, &mut Latencies::new(0))
                 }))
             });
             let same = matches!(&traced, Ok(Ok(t)) if same_run(t, &run));
@@ -327,26 +345,15 @@ pub fn run_train(opts: &Opts, report: &mut Report) {
             m.insert("tinynn.flops_per_sample".into(), flops_per_sample(&cfg.net));
             layer_samples.push(m);
         }
-        runs.push(run);
     }
-    if runs.is_empty() {
+    crate::set_peak_rss(report);
+    let runs: Vec<&Vec<Epoch>> = first.iter().flatten().collect();
+    report.check(runs.len() == TRAIN_RUNS, || "a training run failed".into());
+    let Some(run0) = first[0].as_ref() else {
         return;
-    }
-    // Outside the timed region: training run 0 again, which must repeat
-    // bitwise.
-    let again = catch_unwind(AssertUnwindSafe(|| {
-        train_run(
-            &traces[0],
-            &train_config_for_run(opts.seed, 0),
-            false,
-            &mut Latencies::new(0),
-        )
-    }));
-    let repeats = matches!(&again, Ok(Ok(r)) if same_run(r, &runs[0]));
-    report.unit(repeats);
-    report.check(repeats, || "training run 0 did not repeat bitwise".into());
-    // FCFS + EASY on the trajectories of the first training runs.
-    let scored: Vec<&Epoch> = runs.iter().take(TRAIN_QUALITY_RUNS).flatten().collect();
+    };
+    // FCFS + EASY on the trajectories of the training runs.
+    let scored: Vec<&Epoch> = runs.iter().copied().flatten().collect();
     let agent_bsld: f64 = scored.iter().map(|e| e.mean_bsld).sum();
     let easy_bsld_sum: f64 = scored
         .iter()
@@ -354,31 +361,30 @@ pub fn run_train(opts: &Opts, report: &mut Report) {
         .sum();
     report.set("bsld_vs_easy", agent_bsld / easy_bsld_sum);
 
-    let epochs: Vec<&Epoch> = runs.iter().flatten().collect();
-    let rate = |f: fn(&Epoch) -> usize| {
-        stats::mean_rate(
-            &epochs
-                .iter()
-                .map(|e| (f(e) as f64, e.secs))
-                .collect::<Vec<_>>(),
-        )
-    };
-    if let Some(v) = rate(|e| e.jobs) {
-        report.set("jobs_per_s", v);
+    let epochs: Vec<&Epoch> = first
+        .iter()
+        .zip(&configs)
+        .flat_map(|(r, cfg)| (0..cfg.epochs).map(move |e| r.as_ref().map(|r| &r[e])))
+        .flatten()
+        .collect();
+    if epochs.len() == epoch_secs.count() {
+        let work = |f: fn(&Epoch) -> usize| epochs.iter().map(|e| f(e) as f64).collect::<Vec<_>>();
+        if let Some(v) = stats::median_rate(&work(|e| e.jobs), &epoch_secs.values()) {
+            report.set("jobs_per_s", v);
+        }
+        if let Some(v) = stats::median_rate(&work(|e| e.decisions), &epoch_secs.values()) {
+            report.set("decisions_per_s", v);
+        }
     }
-    if let Some(v) = rate(|e| e.decisions) {
-        report.set("decisions_per_s", v);
-    }
-    crate::set_latency(report, &mut latencies);
+    crate::set_latency(report, &mut latencies, passes);
     for (k, v) in crate::median_layers(&layer_samples) {
         report.set(k, v);
     }
-    let epoch_bsld: Vec<f64> = runs[0].iter().map(|e| e.mean_bsld).collect();
+    let epoch_bsld: Vec<f64> = run0.iter().map(|e| e.mean_bsld).collect();
     crate::check_expected(report, opts.seed, &train_fingerprint(&epoch_bsld));
-    let cfg = train_config(opts.seed);
+    let cfg = &configs[0];
     crate::note(format!(
-        "{} training runs x {} epochs x {} trajectories of {} jobs; run 0 epoch bsld {epoch_bsld:?}; agent/easy mean bsld over {} trajectories {:.4}/{:.4}",
-        runs.len(),
+        "{TRAIN_RUNS} training runs x {} epochs x {} trajectories of {} jobs, {passes} passes; run 0 epoch bsld {epoch_bsld:?}; agent/easy mean bsld over {} trajectories {:.4}/{:.4}",
         cfg.epochs,
         cfg.traj_per_epoch,
         cfg.jobs_per_traj,
@@ -430,9 +436,9 @@ struct WindowOutcome {
 }
 
 /// Schedules one window greedily, as `RlbfAgent::schedule` does, timing
-/// each decision (`act_greedy` plus `BackfillEnv::step`) into `latencies`
-/// as one unit. Traced, it also encodes every decision's observation once
-/// more, for `rlbf.obs_encode`.
+/// each decision (`act_greedy` plus `BackfillEnv::step`) into `latencies`.
+/// Traced, it also encodes every decision's observation once more, for
+/// `rlbf.obs_encode`.
 fn deploy_window(
     agent: &RlbfAgent,
     w: &Trace,
@@ -463,7 +469,6 @@ fn deploy_window(
         }
         latencies.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    latencies.end_unit();
     let metrics = {
         let _s = spans::span("hpcsim.metrics");
         env.metrics()
@@ -495,14 +500,16 @@ pub fn run_deploy(opts: &Opts, report: &mut Report) {
     let n = inputs.windows.len() as f64;
     let easy = inputs.windows.iter().map(easy_bsld).sum::<f64>() / n;
 
+    let mut window_secs = Fastest::default();
     let mut latencies = Latencies::new(crate::LATENCY_SAMPLES);
     let mut first: Option<Vec<Option<WindowOutcome>>> = None;
-    let mut units: Vec<(f64, f64, f64)> = Vec::new();
     let mut layer_samples = Vec::new();
     let mut passes = 0;
     let start = Instant::now();
-    while passes == 0 || start.elapsed().as_secs_f64() < opts.seconds {
+    while passes < crate::MIN_PASSES || start.elapsed().as_secs_f64() < opts.seconds {
         passes += 1;
+        window_secs.restart();
+        latencies.restart();
         let t_pass = Instant::now();
         let mut outcomes = Vec::with_capacity(inputs.windows.len());
         for w in &inputs.windows {
@@ -510,15 +517,11 @@ pub fn run_deploy(opts: &Opts, report: &mut Report) {
             let r = catch_unwind(AssertUnwindSafe(|| {
                 deploy_window(&inputs.agent, w, false, &mut latencies)
             }));
-            let secs = t.elapsed().as_secs_f64();
-            let o = match r {
+            window_secs.push(t.elapsed().as_secs_f64());
+            outcomes.push(match r {
                 Ok(Ok(o)) if o.completed == w.len() => Some(o),
                 _ => None,
-            };
-            if let Some(o) = o {
-                units.push((w.len() as f64, o.decisions as f64, secs));
-            }
-            outcomes.push(o);
+            });
         }
         let pass_secs = t_pass.elapsed().as_secs_f64();
         let reference = first.get_or_insert_with(|| outcomes.clone());
@@ -552,17 +555,20 @@ pub fn run_deploy(opts: &Opts, report: &mut Report) {
             layer_samples.push(m);
         }
     }
-    let rate = |f: fn(&(f64, f64, f64)) -> f64| {
-        stats::mean_rate(&units.iter().map(|u| (f(u), u.2)).collect::<Vec<_>>())
-    };
-    if let Some(v) = rate(|u| u.0) {
+    crate::set_peak_rss(report);
+    let reference = first.unwrap_or_default();
+    let jobs: Vec<f64> = inputs.windows.iter().map(|w| w.len() as f64).collect();
+    let decisions: Vec<f64> = reference
+        .iter()
+        .map(|o| o.map_or(0.0, |o| o.decisions as f64))
+        .collect();
+    if let Some(v) = stats::median_rate(&jobs, &window_secs.values()) {
         report.set("jobs_per_s", v);
     }
-    if let Some(v) = rate(|u| u.1) {
+    if let Some(v) = stats::median_rate(&decisions, &window_secs.values()) {
         report.set("decisions_per_s", v);
     }
-    crate::set_latency(report, &mut latencies);
-    let reference = first.unwrap_or_default();
+    crate::set_latency(report, &mut latencies, passes);
     let bslds: Vec<f64> = reference
         .iter()
         .flatten()

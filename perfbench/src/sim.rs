@@ -9,16 +9,17 @@
 //!   `EarliestStart` router and decision-point migration (3 moves per job,
 //!   60 s minimum gain): the only workload where `cluster::router` matters.
 //!
-//! Both schedule disjoint windows of four independently seeded traces, so
+//! Both schedule disjoint windows of many independently seeded traces, so
 //! one trace's load level does not set a run's figures; a unit is one
-//! window scheduled to completion. `sim_route`'s windows are long (10,000
-//! jobs) because queue backlog builds over a window and the router's
+//! window scheduled to completion. `sim_route`'s windows are 2,500 jobs
+//! long because queue backlog builds over a window and the router's
 //! `reroute` calls per job grow with it: about 15 per job in 1,000-job
-//! windows, 55 in 10,000-job ones, 120 in a 40,000-job one.
+//! windows, 55 in 10,000-job ones, 120 in a 40,000-job one. Longer windows
+//! made a seed's figures follow the load of the few traces it drew.
 
 use crate::deco::TimedRouter;
 use crate::report::Report;
-use crate::stats::{self, Latencies};
+use crate::stats::{self, Fastest, Latencies};
 use crate::{spans, Opts};
 use hpcsim::conservative::conservative_pass;
 use hpcsim::easy::easy_pass;
@@ -38,13 +39,19 @@ pub enum Kind {
     Route,
 }
 
-/// Seeded traces per workload.
-pub const TRACES: usize = 4;
-/// Windows per trace and jobs per window.
+/// Seeded traces, windows per trace and jobs per window of each workload.
+/// `sim_route`'s cost per job grows with a trace's load level, which
+/// differs from seed to seed, so it takes one window from each of many
+/// traces.
+pub const CONS_TRACES: usize = 4;
 pub const CONS_WINDOWS: usize = 50;
 pub const CONS_WINDOW_JOBS: usize = 2000;
-pub const ROUTE_WINDOWS: usize = 11;
-pub const ROUTE_WINDOW_JOBS: usize = 5_000;
+pub const ROUTE_TRACES: usize = 80;
+pub const ROUTE_WINDOWS: usize = 1;
+pub const ROUTE_WINDOW_JOBS: usize = 2_500;
+/// Extra jobs generated per `sim_route` trace: the partition width clamp
+/// drops some, and windows are cut only whole.
+const ROUTE_SLACK_JOBS: usize = 500;
 const ROUTE_PARTS: usize = 4;
 
 const ESTIMATOR: RuntimeEstimator = RuntimeEstimator::RequestTime;
@@ -65,11 +72,11 @@ pub struct Inputs {
 impl Inputs {
     pub fn build(kind: Kind, seed: u64) -> Self {
         let t = Instant::now();
-        let (n, len) = match kind {
-            Kind::Cons => (CONS_WINDOWS, CONS_WINDOW_JOBS),
-            Kind::Route => (ROUTE_WINDOWS, ROUTE_WINDOW_JOBS),
+        let (n_traces, n, len) = match kind {
+            Kind::Cons => (CONS_TRACES, CONS_WINDOWS, CONS_WINDOW_JOBS),
+            Kind::Route => (ROUTE_TRACES, ROUTE_WINDOWS, ROUTE_WINDOW_JOBS),
         };
-        let sources: Vec<TraceSource> = (0..TRACES)
+        let sources: Vec<TraceSource> = (0..n_traces)
             .map(|i| {
                 let seed = desim::replication_seed(seed, i as u64);
                 match kind {
@@ -81,7 +88,7 @@ impl Inputs {
                     Kind::Route => TraceSource::PartitionedPreset {
                         preset: TracePreset::Lublin1,
                         parts: ROUTE_PARTS,
-                        jobs: n * len,
+                        jobs: n * len + ROUTE_SLACK_JOBS,
                         seed,
                     },
                 }
@@ -213,7 +220,7 @@ impl Outcome {
 
 /// Schedules window `w` through the decision-point API, timing each
 /// decision (one `advance` plus the pass at the point it stops on) into
-/// `latencies` as one unit. Spans fire only while the tracer is on.
+/// `latencies`. Spans fire only while the tracer is on.
 fn drive<P: Probe>(
     inputs: &Inputs,
     w: &Trace,
@@ -251,7 +258,6 @@ fn drive<P: Probe>(
         decisions += 1;
         latencies.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    latencies.end_unit();
     let metrics = {
         let _s = spans::span("hpcsim.metrics");
         Metrics::of(sim.completed(), inputs.spec.total_procs())
@@ -265,42 +271,27 @@ fn drive<P: Probe>(
     (outcome, decisions, sim.into_probe())
 }
 
-/// One unit's measurement.
-struct Unit {
-    secs: f64,
-    jobs: f64,
-    decisions: f64,
-    ok: bool,
-}
-
-/// One untraced pass over every window; `None` for a window that panicked.
-fn pass(inputs: &Inputs, latencies: &mut Latencies) -> (Vec<Option<Outcome>>, Vec<Unit>, f64) {
+/// One untraced pass over every window, timing each into `windows`.
+/// Returns each window's outcome and decision count (`None` for a window
+/// that panicked) and the pass's wall time.
+fn pass(
+    inputs: &Inputs,
+    windows: &mut Fastest,
+    latencies: &mut Latencies,
+) -> (Vec<Option<(Outcome, usize)>>, f64) {
     let t_pass = Instant::now();
     let mut outcomes = Vec::with_capacity(inputs.windows.len());
-    let mut units = Vec::with_capacity(inputs.windows.len());
     for w in &inputs.windows {
         let t = Instant::now();
         let r = catch_unwind(AssertUnwindSafe(|| {
             drive(inputs, w, inputs.router(false), NoopProbe, latencies)
         }));
-        let secs = t.elapsed().as_secs_f64();
-        let (outcome, decisions) = match r {
-            Ok((o, d, _)) => (Some(o), d),
-            Err(_) => (None, 0),
-        };
-        units.push(Unit {
-            secs,
-            jobs: w.len() as f64,
-            decisions: decisions as f64,
-            ok: outcome.is_some_and(|o| o.completed + o.dropped == w.len()),
-        });
-        outcomes.push(outcome);
+        windows.push(t.elapsed().as_secs_f64());
+        outcomes.push(r.ok().map(|(o, d, _)| (o, d)));
     }
-    (outcomes, units, t_pass.elapsed().as_secs_f64())
+    (outcomes, t_pass.elapsed().as_secs_f64())
 }
 
-/// One traced pass over every window, through the timing router and a
-/// telemetry `Recorder`: its outcomes, per-layer metrics and wall time.
 fn traced_pass(inputs: &Inputs) -> (Vec<Option<Outcome>>, BTreeMap<String, f64>, f64) {
     let mut telemetry = Telemetry::default();
     let (outcomes, mut m, wall) = crate::traced(|| {
@@ -404,18 +395,26 @@ pub fn run(kind: Kind, opts: &Opts, report: &mut Report) {
         || "library run lost jobs".into(),
     );
 
+    let mut window_secs = Fastest::default();
     let mut latencies = Latencies::new(crate::LATENCY_SAMPLES);
-    let mut units = Vec::new();
-    let mut pass_secs = Vec::new();
+    let mut decisions: Vec<f64> = Vec::new();
+    let mut passes = 0;
     let mut layer_samples = Vec::new();
     let start = Instant::now();
-    while pass_secs.is_empty() || start.elapsed().as_secs_f64() < opts.seconds {
-        let (outcomes, us, secs) = pass(&inputs, &mut latencies);
-        for ((o, u), r) in outcomes.iter().zip(&us).zip(&reference) {
-            report.unit(u.ok && *o == Some(*r));
+    while passes < crate::MIN_PASSES || start.elapsed().as_secs_f64() < opts.seconds {
+        passes += 1;
+        window_secs.restart();
+        latencies.restart();
+        let (outcomes, secs) = pass(&inputs, &mut window_secs, &mut latencies);
+        for (o, r) in outcomes.iter().zip(&reference) {
+            report.unit(o.is_some_and(|(o, _)| o == *r));
         }
-        units.extend(us);
-        pass_secs.push(secs);
+        if decisions.is_empty() {
+            decisions = outcomes
+                .iter()
+                .map(|o| o.map_or(0.0, |(_, d)| d as f64))
+                .collect();
+        }
         if opts.trace {
             let (traced, mut layers, wall) = traced_pass(&inputs);
             let same = traced.iter().zip(&reference).all(|(t, r)| *t == Some(*r));
@@ -428,17 +427,15 @@ pub fn run(kind: Kind, opts: &Opts, report: &mut Report) {
         }
     }
 
-    let ok_units: Vec<&Unit> = units.iter().filter(|u| u.ok).collect();
-    let rate = |f: fn(&Unit) -> f64| {
-        stats::mean_rate(&ok_units.iter().map(|u| (f(u), u.secs)).collect::<Vec<_>>())
-    };
-    if let Some(v) = rate(|u| u.jobs) {
+    crate::set_peak_rss(report);
+    let jobs: Vec<f64> = inputs.windows.iter().map(|w| w.len() as f64).collect();
+    if let Some(v) = stats::median_rate(&jobs, &window_secs.values()) {
         report.set("jobs_per_s", v);
     }
-    if let Some(v) = rate(|u| u.decisions) {
+    if let Some(v) = stats::median_rate(&decisions, &window_secs.values()) {
         report.set("decisions_per_s", v);
     }
-    crate::set_latency(report, &mut latencies);
+    crate::set_latency(report, &mut latencies, passes);
     report.set("bsld_vs_easy", bsld / easy);
     for (k, v) in crate::median_layers(&layer_samples) {
         report.set(k, v);
@@ -455,6 +452,6 @@ pub fn run(kind: Kind, opts: &Opts, report: &mut Report) {
         "{} windows x {} jobs, {} passes, bsld {bsld:.4}, easy bsld {easy:.4}",
         inputs.windows.len(),
         inputs.windows.first().map_or(0, Trace::len),
-        pass_secs.len()
+        passes
     ));
 }

@@ -1,6 +1,7 @@
-//! Statistics used by every workload: medians, per-unit means of rates
-//! and of latency medians, and tail percentiles that are only reported
-//! where the sample supports them.
+//! Statistics used by every workload: medians, per-unit median rates,
+//! each item's fastest repeat over a run's passes, a uniform sample of a
+//! stream, and tail percentiles that are only reported where the sample
+//! supports them.
 
 /// Median of `xs` (mean of the two middle values for an even count).
 /// `None` when `xs` is empty or holds a NaN.
@@ -18,22 +19,15 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     })
 }
 
-/// The mean of per-unit rates `work / seconds`. A rate cannot fall below
-/// zero, so a unit slowed by a co-tenant burst moves the mean by at most
-/// its own share. Not a median: the host's speed switches between two
-/// levels every few seconds, and a median of units then snaps to whichever
-/// level held the majority of a run. Units with no elapsed time are
-/// ignored; `None` when no unit is left or a rate is NaN.
-pub fn mean_rate(units: &[(f64, f64)]) -> Option<f64> {
-    let rates: Vec<f64> = units
-        .iter()
-        .filter(|(_, secs)| *secs > 0.0)
-        .map(|(work, secs)| work / secs)
-        .collect();
-    if rates.is_empty() || rates.iter().any(|r| r.is_nan()) {
+/// The median over units of `work / secs`. One rate per unit, so a
+/// co-tenant burst moves one sample, not the metric. `None` when there are
+/// no units, a unit took no time, or a value is NaN.
+pub fn median_rate(work: &[f64], secs: &[f64]) -> Option<f64> {
+    if work.len() != secs.len() || secs.iter().any(|s| !(*s > 0.0)) {
         return None;
     }
-    Some(rates.iter().sum::<f64>() / rates.len() as f64)
+    let rates: Vec<f64> = work.iter().zip(secs).map(|(w, s)| w / s).collect();
+    median(&rates)
 }
 
 /// Samples that must lie strictly beyond a reported tail percentile.
@@ -69,6 +63,59 @@ pub fn tail_percentile(xs: &mut [f64], pct: f64) -> Option<Tail> {
     })
 }
 
+/// The fastest repeat of each item of a sequence that every pass of a run
+/// replays in the same order: a window's or an epoch's time, or one
+/// decision's latency. Co-tenant bursts only ever slow a repeat down, so an
+/// item's fastest repeat is its least disturbed cost, and a run's figure no
+/// longer depends on how much of it a burst happened to cover.
+///
+/// Items are stored in chunks of [`CHUNK`], so the memory it holds grows
+/// in step with the number of items. One vector that doubled would make
+/// `peak_rss_mb` jump by megabytes whenever a seed's decision count
+/// crossed a power of two.
+#[derive(Debug, Clone, Default)]
+pub struct Fastest {
+    chunks: Vec<Vec<f64>>,
+    len: usize,
+    next: usize,
+}
+
+/// Items per chunk of [`Fastest`].
+pub const CHUNK: usize = 4096;
+
+impl Fastest {
+    /// Starts the next pass over the sequence.
+    pub fn restart(&mut self) {
+        self.next = 0;
+    }
+
+    /// Offers the time of the current pass's next item.
+    pub fn push(&mut self, x: f64) {
+        let (c, i) = (self.next / CHUNK, self.next % CHUNK);
+        if self.next < self.len {
+            let b = &mut self.chunks[c][i];
+            *b = b.min(x);
+        } else {
+            if i == 0 {
+                self.chunks.push(Vec::with_capacity(CHUNK));
+            }
+            self.chunks[c].push(x);
+            self.len += 1;
+        }
+        self.next += 1;
+    }
+
+    /// Items seen so far.
+    pub fn count(&self) -> usize {
+        self.len
+    }
+
+    /// Each item's fastest time so far, in sequence order.
+    pub fn values(&self) -> Vec<f64> {
+        self.chunks.concat()
+    }
+}
+
 /// A uniform sample of at most `cap` values from a stream of unknown
 /// length (reservoir sampling), so a run's latency sample covers its whole
 /// timed region instead of its first seconds. Deterministic.
@@ -81,12 +128,14 @@ pub struct Reservoir {
 }
 
 impl Reservoir {
+    /// Reserves room for all `cap` values up front, so the memory it holds
+    /// does not depend on how many values a run offers.
     pub fn new(cap: usize) -> Self {
         Self {
             cap,
             seen: 0,
             state: 0x853c_49e6_748f_ea9b,
-            samples: Vec::new(),
+            samples: Vec::with_capacity(cap),
         }
     }
 
@@ -114,44 +163,34 @@ impl Reservoir {
     }
 }
 
-/// A run's per-decision latencies: a uniform sample of all of them for the
-/// tail, and each unit's median for the typical decision.
+/// A run's decision latencies: each decision's fastest repeat over the
+/// passes, whose median is `decision_us_p50`, and a uniform sample of
+/// every timed decision, bursts included, whose tail is `decision_us_p99`.
+/// The tail of the fastest repeats is no steadier: which decisions keep a
+/// disturbed time in every repeat depends on how often bursts came.
 #[derive(Debug, Clone)]
 pub struct Latencies {
+    pub fastest: Fastest,
     pub all: Reservoir,
-    unit: Vec<f64>,
-    unit_medians: Vec<f64>,
 }
 
 impl Latencies {
     /// Keeps at most `cap` values in [`Latencies::all`].
     pub fn new(cap: usize) -> Self {
         Self {
+            fastest: Fastest::default(),
             all: Reservoir::new(cap),
-            unit: Vec::new(),
-            unit_medians: Vec::new(),
         }
+    }
+
+    /// Starts the next pass.
+    pub fn restart(&mut self) {
+        self.fastest.restart();
     }
 
     pub fn push(&mut self, x: f64) {
+        self.fastest.push(x);
         self.all.push(x);
-        self.unit.push(x);
-    }
-
-    /// Closes the current unit and records its median.
-    pub fn end_unit(&mut self) {
-        if let Some(m) = median(&self.unit) {
-            self.unit_medians.push(m);
-        }
-        self.unit.clear();
-    }
-
-    /// The mean over units of each unit's median. Like [`mean_rate`], a
-    /// mean over units rather than one median of all samples, which would
-    /// snap to whichever host speed held most of a run.
-    pub fn p50(&self) -> Option<f64> {
-        let n = self.unit_medians.len();
-        (n > 0).then(|| self.unit_medians.iter().sum::<f64>() / n as f64)
     }
 }
 
@@ -168,19 +207,20 @@ mod tests {
     }
 
     #[test]
-    fn mean_rate_averages_unit_rates_not_the_total() {
+    fn median_rate_takes_the_median_of_unit_rates_not_the_total() {
         // Totals would give 300 / 4.5 = 66.7; the per-unit rates are 100,
-        // 100 and 40, whose mean is 80.
-        let units = [(100.0, 1.0), (100.0, 1.0), (100.0, 2.5)];
-        assert_eq!(mean_rate(&units), Some(80.0));
-        // One unit slowed 100-fold costs the mean at most its own share.
-        let mut burst = vec![(100.0, 1.0); 9];
-        burst.push((100.0, 100.0));
-        assert!(mean_rate(&burst).unwrap() >= 90.0);
-        // Zero-length units are dropped, not divided by.
-        assert_eq!(mean_rate(&[(5.0, 0.0), (10.0, 2.0)]), Some(5.0));
-        assert_eq!(mean_rate(&[]), None);
-        assert_eq!(mean_rate(&[(f64::NAN, 1.0)]), None);
+        // 100 and 40, whose median is 100.
+        let work = [100.0; 3];
+        assert_eq!(median_rate(&work, &[1.0, 1.0, 2.5]), Some(100.0));
+        // One unit slowed 100-fold does not move it.
+        let mut secs = vec![1.0; 9];
+        secs.push(100.0);
+        assert_eq!(median_rate(&[100.0; 10], &secs), Some(100.0));
+        // Zero-length units, mismatched lengths and NaN give no rate.
+        assert_eq!(median_rate(&[5.0, 10.0], &[0.0, 2.0]), None);
+        assert_eq!(median_rate(&[5.0], &[1.0, 2.0]), None);
+        assert_eq!(median_rate(&[], &[]), None);
+        assert_eq!(median_rate(&[f64::NAN], &[1.0]), None);
     }
 
     #[test]
@@ -210,6 +250,33 @@ mod tests {
     }
 
     #[test]
+    fn fastest_keeps_each_items_best_repeat() {
+        let mut f = Fastest::default();
+        [3.0, 5.0, 7.0].into_iter().for_each(|x| f.push(x));
+        f.restart();
+        [4.0, 1.0, 9.0].into_iter().for_each(|x| f.push(x));
+        f.restart();
+        [2.0, 6.0].into_iter().for_each(|x| f.push(x));
+        assert_eq!(f.values(), vec![2.0, 1.0, 7.0]);
+        // A longer pass extends the sequence.
+        f.restart();
+        [9.0, 9.0, 9.0, 8.0].into_iter().for_each(|x| f.push(x));
+        assert_eq!(f.values(), vec![2.0, 1.0, 7.0, 8.0]);
+        assert!(Fastest::default().values().is_empty());
+        // Across chunk boundaries.
+        let mut long = Fastest::default();
+        (0..2 * CHUNK + 3).for_each(|i| long.push((i + 1) as f64));
+        long.restart();
+        (0..2 * CHUNK + 3).for_each(|i| long.push(if i % 2 == 0 { 0.5 } else { 1e9 }));
+        let v = long.values();
+        assert_eq!((v.len(), long.count()), (2 * CHUNK + 3, 2 * CHUNK + 3));
+        assert!(v
+            .iter()
+            .enumerate()
+            .all(|(i, x)| *x == if i % 2 == 0 { 0.5 } else { (i + 1) as f64 }));
+    }
+
+    #[test]
     fn reservoir_keeps_a_bounded_uniform_sample() {
         let mut r = Reservoir::new(1000);
         for i in 0..100_000 {
@@ -224,20 +291,6 @@ mod tests {
         let mut short = Reservoir::new(10);
         (0..5).for_each(|i| short.push(f64::from(i)));
         assert_eq!(short.samples, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn p50_is_the_mean_of_unit_medians() {
-        let mut l = Latencies::new(100);
-        [1.0, 2.0, 30.0].into_iter().for_each(|x| l.push(x));
-        l.end_unit();
-        [10.0, 20.0].into_iter().for_each(|x| l.push(x));
-        l.end_unit();
-        // An empty unit records nothing.
-        l.end_unit();
-        assert_eq!(l.p50(), Some((2.0 + 15.0) / 2.0));
-        assert_eq!(l.all.samples.len(), 5);
-        assert_eq!(Latencies::new(10).p50(), None);
     }
 
     #[test]
