@@ -13,7 +13,8 @@
 //! cargo run -p bench --release --bin fig4_training_curves [--full] [--from-scratch]
 //! ```
 //!
-//! By default training uses the imitation warm-start (see DESIGN.md), so
+//! By default training uses the imitation warm-start (see ARCHITECTURE.md,
+//! "The learning stack"), so
 //! the curves *start* near EASY-level and the paper's descent shape is
 //! compressed; `--from-scratch` disables the warm-start and reproduces the
 //! paper's convergence-from-random shape (budget for more epochs there —

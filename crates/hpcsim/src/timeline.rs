@@ -2,8 +2,8 @@
 //!
 //! Backfilling quality is visible in the *shape* of utilization (EASY fills
 //! the troughs in front of wide reserved jobs); this module turns a
-//! realized schedule into that shape — used by the examples, by
-//! EXPERIMENTS.md narratives, and for eyeballing schedules in tests.
+//! realized schedule into that shape — used by the examples and for
+//! eyeballing schedules in tests.
 
 use crate::state::CompletedJob;
 

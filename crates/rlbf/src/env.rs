@@ -88,7 +88,7 @@ pub struct EnvConfig {
     /// action). EASY can refuse a harmful backfill; without this the agent
     /// is forced to pick *some* fitting job even when every choice delays
     /// the reserved job, and the violation penalty stops being a learning
-    /// signal (see DESIGN.md).
+    /// signal (see ARCHITECTURE.md, "The learning stack").
     pub allow_skip: bool,
 }
 

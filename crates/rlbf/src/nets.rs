@@ -5,6 +5,15 @@
 //!   softmax over the scores gives the backfilling distribution. Because
 //!   the same kernel reads one job at a time, the parameter count is tiny
 //!   and the network is insensitive to job order.
+//!
+//!   Because the kernel scores each row on its own, and the masked softmax,
+//!   sampling, argmax and logit gradient read only unmasked rows, the
+//!   policy runs forward and backward on the unmasked rows alone (about 3
+//!   of 129 at 128 slots). The scores it skips are never read, and the
+//!   gradient rows it skips are exactly zero, so log-probs, actions and
+//!   accumulated gradients are bitwise those of scoring every row (pinned
+//!   by the tests below). [`BackfillActorCritic::logits`] still scores every
+//!   row, for the audit log's `AgentPicked` score.
 //! * **Value network** (§3.3.2): a 3-layer MLP over the *flattened*
 //!   observation ("the jobs are concat and flattened before being input"),
 //!   estimating the expected episode reward.
@@ -99,13 +108,20 @@ impl BackfillActorCritic {
     /// Action logits: the kernel applied to every row of the observation,
     /// including the skip pseudo-job (last row).
     pub fn logits(&self, obs: &Observation) -> Vec<f64> {
-        let out = self.policy.forward(&obs.features); // (slots+1) × 1
-        (0..out.rows()).map(|r| out.get(r, 0)).collect()
+        self.score(obs, true)
     }
 
-    /// The masked action distribution at `obs` (job slots + skip).
+    /// The masked action distribution at `obs` (job slots + skip), scoring
+    /// only the unmasked rows.
     pub fn distribution(&self, obs: &Observation) -> MaskedCategorical {
-        MaskedCategorical::new(&self.logits(obs), obs.action_mask())
+        MaskedCategorical::new(&self.score(obs, false), obs.action_mask())
+    }
+
+    /// Full-length logits from the kernel scoring the unmasked rows of
+    /// `obs`, or every row when `all_rows`.
+    fn score(&self, obs: &Observation, all_rows: bool) -> Vec<f64> {
+        let (rows, x) = policy_input(obs, all_rows);
+        scatter_scores(obs, &rows, &self.policy.forward(&x))
     }
 
     /// Samples an action (training-time exploration). Returns
@@ -143,11 +159,48 @@ impl BackfillActorCritic {
         self.policy_opt = Adam::new(AdamConfig::with_lr(lr));
     }
 
+    /// A copy of the networks for a worker that only accumulates gradients
+    /// (parallel updates): its optimizers are fresh, so the Adam moments
+    /// are not copied; Adam shapes them lazily if it ever steps.
+    pub fn worker(&self) -> Self {
+        Self {
+            policy: self.policy.clone(),
+            value: self.value.clone(),
+            cfg: self.cfg.clone(),
+            policy_opt: Adam::new(self.policy_opt.config()),
+            value_opt: Adam::new(self.value_opt.config()),
+        }
+    }
+
     /// Merges gradient accumulators from a worker clone (parallel update).
     pub fn merge_grads_from(&mut self, other: &Self) {
         merge_mlp_grads(&mut self.policy, &other.policy);
         merge_mlp_grads(&mut self.value, &other.value);
     }
+}
+
+/// The kernel policy's input: the unmasked rows of `obs.features`, or every
+/// row when `all_rows`, gathered in order, with their row indices.
+fn policy_input(obs: &Observation, all_rows: bool) -> (Vec<usize>, Matrix) {
+    let rows: Vec<usize> = (0..obs.mask.len())
+        .filter(|&r| all_rows || obs.mask[r])
+        .collect();
+    let mut data = Vec::with_capacity(rows.len() * JOB_FEATURES);
+    for &r in &rows {
+        data.extend_from_slice(obs.features.row_slice(r));
+    }
+    let x = Matrix::from_vec(rows.len(), JOB_FEATURES, data);
+    (rows, x)
+}
+
+/// Full-length logits from one score per gathered row; rows that were not
+/// scored read 0 and are masked out of every downstream use.
+fn scatter_scores(obs: &Observation, rows: &[usize], scores: &Matrix) -> Vec<f64> {
+    let mut logits = vec![0.0; obs.mask.len()];
+    for (k, &r) in rows.iter().enumerate() {
+        logits[r] = scores.get(k, 0);
+    }
+    logits
 }
 
 fn merge_mlp_grads(into: &mut Mlp, from: &Mlp) {
@@ -170,8 +223,9 @@ impl ActorCritic<Observation> for BackfillActorCritic {
     }
 
     fn accumulate_policy_grad(&mut self, obs: &Observation, action: usize, coef: f64) {
-        let (out, cache) = self.policy.forward_cached(&obs.features);
-        let logits: Vec<f64> = (0..out.rows()).map(|r| out.get(r, 0)).collect();
+        let (rows, x) = policy_input(obs, false);
+        let (out, cache) = self.policy.forward_cached(&x);
+        let logits = scatter_scores(obs, &rows, &out);
         let mask = obs.action_mask();
         let mut dlogits = log_prob_grad_wrt_logits(&logits, mask, action, coef);
         if self.cfg.entropy_coef != 0.0 {
@@ -180,29 +234,29 @@ impl ActorCritic<Observation> for BackfillActorCritic {
                 *d += self.cfg.entropy_coef * e;
             }
         }
-        let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
-        self.policy.backward(&cache, &grad);
+        let grad = Matrix::from_vec(rows.len(), 1, rows.iter().map(|&r| dlogits[r]).collect());
+        self.policy.accumulate_grads(&cache, &grad);
     }
 
     fn accumulate_value_grad(&mut self, obs: &Observation, coef: f64) {
         let flat = obs.features.flatten();
         let (_, cache) = self.value.forward_cached(&flat);
         let grad = Matrix::from_vec(1, 1, vec![coef]);
-        self.value.backward(&cache, &grad);
+        self.value.accumulate_grads(&cache, &grad);
     }
 
     fn policy_opt_step(&mut self) {
         // `accumulate_policy_grad` builds ascent gradients; Adam descends,
         // so flip the sign once here.
         for (_, g) in self.policy.params_and_grads_mut() {
-            *g = g.scale(-1.0);
+            g.scale_assign(-1.0);
         }
         self.policy_opt.step(self.policy.params_and_grads_mut());
     }
 
     fn value_opt_step(&mut self) {
         for (_, g) in self.value.params_and_grads_mut() {
-            *g = g.scale(-1.0);
+            g.scale_assign(-1.0);
         }
         self.value_opt.step(self.value.params_and_grads_mut());
     }
@@ -382,6 +436,109 @@ mod tests {
         for (m, r) in mg.iter().zip(&rg) {
             for (a, b) in m.data().iter().zip(r.data()) {
                 assert!((a - b).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// The formulation valid-row scoring replaced: the kernel scores every
+    /// row of the observation.
+    fn all_rows_logits(ac: &BackfillActorCritic, obs: &Observation) -> Vec<f64> {
+        let out = ac.policy.forward(&obs.features);
+        (0..out.rows()).map(|r| out.get(r, 0)).collect()
+    }
+
+    /// `accumulate_policy_grad` over every row (the backward pass itself is
+    /// pinned against the transpose formulation in tinynn's tests).
+    fn all_rows_policy_grad(ac: &mut BackfillActorCritic, obs: &Observation, a: usize, coef: f64) {
+        let (out, cache) = ac.policy.forward_cached(&obs.features);
+        let logits: Vec<f64> = (0..out.rows()).map(|r| out.get(r, 0)).collect();
+        let mask = obs.action_mask();
+        let mut dlogits = log_prob_grad_wrt_logits(&logits, mask, a, coef);
+        if ac.cfg.entropy_coef != 0.0 {
+            let ent = entropy_grad_wrt_logits(&logits, mask);
+            for (d, e) in dlogits.iter_mut().zip(ent) {
+                *d += ac.cfg.entropy_coef * e;
+            }
+        }
+        let grad = Matrix::from_vec(dlogits.len(), 1, dlogits);
+        ac.policy.backward(&cache, &grad);
+    }
+
+    #[test]
+    fn valid_row_scoring_is_bitwise_all_row_scoring() {
+        let mut few = vec![false; 8];
+        for s in [1, 4, 6] {
+            few[s] = true;
+        }
+        let mut one = vec![false; 8];
+        one[5] = true;
+        let mut wide = vec![false; 128];
+        for s in [0, 3, 17, 90, 127] {
+            wide[s] = true;
+        }
+        let cases: [(NetConfig, Vec<bool>); 5] = [
+            (tiny_cfg(), one),
+            (tiny_cfg(), few),
+            (tiny_cfg(), vec![true; 8]),
+            (tiny_cfg(), vec![false; 8]),
+            (NetConfig::default(), wide),
+        ];
+        for entropy_coef in [0.0, 0.01] {
+            for (net, jobs) in &cases {
+                for skip in [true, false] {
+                    if !skip && !jobs.contains(&true) {
+                        continue;
+                    }
+                    let obs = fake_obs_with_skip(jobs, skip);
+                    let cfg = NetConfig {
+                        entropy_coef,
+                        ..net.clone()
+                    };
+                    let mut ac = BackfillActorCritic::new(cfg, 21);
+                    // Move off the initial weights so some ReLUs die.
+                    let first = obs.mask.iter().position(|&m| m).unwrap();
+                    for _ in 0..3 {
+                        ac.accumulate_policy_grad(&obs, first, 1.0);
+                        ac.policy_opt_step();
+                    }
+                    let what = format!("jobs {jobs:?} skip {skip} entropy {entropy_coef}");
+                    let logits = all_rows_logits(&ac, &obs);
+                    let oracle = MaskedCategorical::new(&logits, obs.action_mask());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&ac.logits(&obs)), bits(&logits), "{what}: logits");
+                    let valid: Vec<usize> = (0..obs.mask.len()).filter(|&a| obs.mask[a]).collect();
+                    for &a in &valid {
+                        assert_eq!(
+                            ac.log_prob(&obs, a).to_bits(),
+                            oracle.log_prob(a).to_bits(),
+                            "{what}: log_prob({a})"
+                        );
+                    }
+                    assert_eq!(ac.act_greedy(&obs), oracle.argmax(), "{what}: greedy");
+                    let mut rng = SmallRng::seed_from_u64(3);
+                    let mut oracle_rng = rng.clone();
+                    for _ in 0..20 {
+                        let (a, logp, _) = ac.act_sample(&obs, &mut rng);
+                        assert_eq!(a, oracle.sample(&mut oracle_rng), "{what}: sample");
+                        assert_eq!(logp.to_bits(), oracle.log_prob(a).to_bits(), "{what}");
+                    }
+                    let mut fast = ac.clone();
+                    let mut slow = ac.clone();
+                    for (i, &a) in valid.iter().enumerate() {
+                        let coef = 0.3 - 0.2 * i as f64;
+                        fast.accumulate_policy_grad(&obs, a, coef);
+                        all_rows_policy_grad(&mut slow, &obs, a, coef);
+                    }
+                    for (p, (f, s)) in fast
+                        .policy
+                        .grads()
+                        .iter()
+                        .zip(slow.policy.grads())
+                        .enumerate()
+                    {
+                        assert_eq!(bits(f.data()), bits(s.data()), "{what}: grad {p}");
+                    }
+                }
             }
         }
     }

@@ -48,7 +48,7 @@ impl Default for ObsConfig {
 /// the reserved job, turning the violation penalty into unavoidable noise.
 /// Scoring the skip row with the same kernel keeps the decision
 /// state-dependent ("skip when nothing safe fits"), unlike a global bias
-/// (see DESIGN.md).
+/// (see ARCHITECTURE.md, "The learning stack").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Observation {
     /// `(max_obsv_size + 1) × JOB_FEATURES` matrix; padding rows are all

@@ -43,14 +43,18 @@ pub struct TrainConfig {
     pub platform: Platform,
     /// Network architecture.
     pub net: NetConfig,
-    /// Master seed: training is fully deterministic given the seed and
-    /// thread-count-independent (per-trajectory RNG streams).
+    /// Master seed: training is fully deterministic given the seed and the
+    /// worker count. Rollouts use per-trajectory RNG streams, but the
+    /// parallel update sums gradients per worker chunk, so its last bits
+    /// depend on `rayon::current_num_threads()` (see ARCHITECTURE.md, "The
+    /// learning stack").
     pub seed: u64,
     /// Episodes of EASY demonstrations collected for the imitation
     /// warm-start (0 disables pretraining). The paper trains from scratch
     /// for hundreds of epochs; behavior-cloning the EASY rule first reaches
     /// the same region of policy space in seconds, after which PPO learns
-    /// *when to deviate* from EASY (see DESIGN.md).
+    /// *when to deviate* from EASY (see ARCHITECTURE.md, "The learning
+    /// stack").
     pub pretrain_episodes: usize,
     /// Supervised passes over the demonstration set.
     pub pretrain_passes: usize,
@@ -238,7 +242,7 @@ pub fn pretrain_imitation(
         let workers: Vec<(f64, BackfillActorCritic)> = data
             .par_chunks(chunk)
             .map(|chunk_data| {
-                let mut w = ac.clone();
+                let mut w = ac.worker();
                 let mut local_ce = 0.0;
                 for (obs, a) in chunk_data {
                     local_ce -= w.log_prob(obs, *a);
@@ -305,7 +309,7 @@ pub fn parallel_ppo_update(
             .collect::<Vec<_>>()
             .par_chunks(chunk)
             .map(|idxs| {
-                let mut w = ac.clone();
+                let mut w = ac.worker();
                 for &i in idxs {
                     let s = &batch.steps[i];
                     let coef = policy_grad_coef(
@@ -331,7 +335,7 @@ pub fn parallel_ppo_update(
             .collect::<Vec<_>>()
             .par_chunks(chunk)
             .map(|idxs| {
-                let mut w = ac.clone();
+                let mut w = ac.worker();
                 let mut loss = 0.0;
                 for &i in idxs {
                     let s = &batch.steps[i];

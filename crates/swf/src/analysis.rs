@@ -206,7 +206,8 @@ mod tests {
     #[test]
     fn bursty_arrivals_have_high_cv() {
         // The real-trace stand-ins use a burstier arrival process than the
-        // Lublin presets (DESIGN.md); that must show up as a higher CV.
+        // Lublin presets (`Table2Targets::arrival_shape`); that must
+        // show up as a higher CV.
         let sdsc = TraceProfile::of(&TracePreset::SdscSp2.generate(4000, 7));
         let lublin = TraceProfile::of(&TracePreset::Lublin1.generate(4000, 7));
         assert!(

@@ -34,7 +34,7 @@ pub struct Table2Targets {
     pub has_user_estimates: bool,
     /// Mean *actual* runtime used for calibration. Table 2 only reports the
     /// requested mean for real traces; we pick an actual mean below it so
-    /// the overestimation gap the paper studies exists (see DESIGN.md).
+    /// the overestimation gap the paper studies exists.
     pub mean_runtime: f64,
     /// Gamma shape of inter-arrival gaps. Real archive traces are far
     /// burstier (CV ≈ 2) than the synthetic Lublin traces; burstiness

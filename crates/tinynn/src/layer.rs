@@ -5,6 +5,12 @@
 //! every gradient against central finite differences (see the tests and
 //! `tests/gradcheck.rs`). Gradients accumulate into each layer's `grad_*`
 //! buffers until an optimizer consumes them.
+//!
+//! The backward pass never builds a transpose: `dL/dW` is summed straight
+//! from the layer input and `dL/dy`, and `dL/dx` dots rows of `dL/dy` with
+//! rows of `W`. Both keep every floating-point sum in the order of the
+//! textbook `xᵀ·g` / `g·Wᵀ` matmuls, so the gradients are bitwise those of
+//! the transpose formulation (pinned by `tests/backward_oracle.rs`).
 
 use crate::matrix::Matrix;
 use rand::Rng;
@@ -24,19 +30,33 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation element-wise.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        match self {
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Tanh => x.map(f64::tanh),
-            Activation::Identity => x.clone(),
-        }
+        x.map(|v| self.apply(v))
     }
 
     /// Element-wise derivative given the *pre-activation* input.
     pub fn derivative(&self, pre: &Matrix) -> Matrix {
+        pre.map(|v| self.slope(v))
+    }
+
+    fn apply(&self, v: f64) -> f64 {
         match self {
-            Activation::Relu => pre.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Tanh => pre.map(|v| 1.0 - v.tanh() * v.tanh()),
-            Activation::Identity => pre.map(|_| 1.0),
+            Activation::Relu => v.max(0.0),
+            Activation::Tanh => v.tanh(),
+            Activation::Identity => v,
+        }
+    }
+
+    fn slope(&self, pre: f64) -> f64 {
+        match self {
+            Activation::Relu => {
+                if pre > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::Tanh => 1.0 - pre.tanh() * pre.tanh(),
+            Activation::Identity => 1.0,
         }
     }
 }
@@ -67,16 +87,75 @@ impl Linear {
 
     /// Forward pass for a batch `x` (`batch × in`).
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w).add_row_broadcast(&self.b)
+        let mut y = x.matmul(&self.w);
+        for r in 0..y.rows() {
+            for (v, &b) in y.row_slice_mut(r).iter_mut().zip(self.b.data()) {
+                *v += b;
+            }
+        }
+        y
     }
 
     /// Backward pass: given the layer input `x` and `dL/dy`, accumulates
     /// `dL/dW`, `dL/db` and returns `dL/dx`.
     pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        self.grad_w
-            .add_scaled_assign(&x.transpose().matmul(grad_out), 1.0);
-        self.grad_b.add_scaled_assign(&grad_out.col_sums(), 1.0);
-        grad_out.matmul(&self.w.transpose())
+        self.accumulate_param_grads(x, grad_out);
+        self.input_grad(grad_out)
+    }
+
+    /// Accumulates `dL/dW += xᵀ·g` and `dL/db += Σ_rows g`.
+    ///
+    /// Each gradient row is summed over the batch, in row order, into a
+    /// scratch row that is then added: the order of
+    /// `grad_w += x.transpose().matmul(g)`. Zero inputs are skipped as
+    /// `matmul` skips them, so an input that is zero in every row adds
+    /// nothing; the transpose form would add `+0`, which changes no bits
+    /// because accumulated gradients are never `−0`.
+    fn accumulate_param_grads(&mut self, x: &Matrix, g: &Matrix) {
+        assert_eq!(x.rows(), g.rows(), "backward batch mismatch");
+        assert_eq!(x.cols(), self.w.rows(), "backward input width mismatch");
+        assert_eq!(g.cols(), self.w.cols(), "backward output width mismatch");
+        let mut row = vec![0.0; g.cols()];
+        for i in 0..x.cols() {
+            let mut touched = false;
+            for k in 0..x.rows() {
+                let a = x.get(k, i);
+                if a == 0.0 {
+                    continue;
+                }
+                if !touched {
+                    row.fill(0.0);
+                    touched = true;
+                }
+                for (r, &b) in row.iter_mut().zip(g.row_slice(k)) {
+                    *r += a * b;
+                }
+            }
+            if touched {
+                for (w, &r) in self.grad_w.row_slice_mut(i).iter_mut().zip(&row) {
+                    *w += r;
+                }
+            }
+        }
+        self.grad_b.add_scaled_assign(&g.col_sums(), 1.0);
+    }
+
+    /// `dL/dx = g·Wᵀ` without building `Wᵀ`: each entry dots a row of `g`
+    /// with a row of `W`, over the output index in order and skipping zero
+    /// entries of `g` — the sum `g.matmul(&w.transpose())` computes.
+    fn input_grad(&self, g: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(g.rows(), self.w.rows());
+        for k in 0..g.rows() {
+            let g_row = g.row_slice(k);
+            for (i, o) in out.row_slice_mut(k).iter_mut().enumerate() {
+                for (&a, &w) in g_row.iter().zip(self.w.row_slice(i)) {
+                    if a != 0.0 {
+                        *o += a * w;
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Clears accumulated gradients.
@@ -142,27 +221,29 @@ impl Mlp {
 
     /// Inference-only forward pass.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
+        let mut h: Option<Matrix> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&h);
-            h = self.activation_at(i).forward(&pre);
+            let mut y = layer.forward(h.as_ref().unwrap_or(x));
+            let act = self.activation_at(i);
+            y.data_mut().iter_mut().for_each(|v| *v = act.apply(*v));
+            h = Some(y);
         }
-        h
+        h.expect("an MLP has at least one layer")
     }
 
     /// Forward pass retaining the cache needed for [`Self::backward`].
     pub fn forward_cached(&self, x: &Matrix) -> (Matrix, MlpCache) {
-        let mut activations = vec![x.clone()];
+        let mut activations = Vec::with_capacity(self.layers.len() + 1);
+        activations.push(x.clone());
         let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
         for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&h);
-            h = self.activation_at(i).forward(&pre);
+            let pre = layer.forward(&activations[i]);
+            activations.push(self.activation_at(i).forward(&pre));
             pre_activations.push(pre);
-            activations.push(h.clone());
         }
+        let out = activations[self.layers.len()].clone();
         (
-            h,
+            out,
             MlpCache {
                 activations,
                 pre_activations,
@@ -173,14 +254,42 @@ impl Mlp {
     /// Backward pass from `dL/doutput`; accumulates parameter gradients and
     /// returns `dL/dinput`.
     pub fn backward(&mut self, cache: &MlpCache, grad_out: &Matrix) -> Matrix {
+        self.backprop(cache, grad_out, true)
+            .expect("backprop returns the input gradient when asked")
+    }
+
+    /// [`Self::backward`] for training: accumulates the same parameter
+    /// gradients but skips `dL/dinput`, which no optimizer reads. For a wide
+    /// first layer (the value network's is 1548 × 32) that product is most
+    /// of the backward pass.
+    pub fn accumulate_grads(&mut self, cache: &MlpCache, grad_out: &Matrix) {
+        self.backprop(cache, grad_out, false);
+    }
+
+    fn backprop(
+        &mut self,
+        cache: &MlpCache,
+        grad_out: &Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
         let mut grad = grad_out.clone();
         for i in (0..self.layers.len()).rev() {
             let act = self.activation_at(i);
-            let dpre = act.derivative(&cache.pre_activations[i]);
-            grad = grad.hadamard(&dpre);
-            grad = self.layers[i].backward(&cache.activations[i], &grad);
+            for (g, &pre) in grad
+                .data_mut()
+                .iter_mut()
+                .zip(cache.pre_activations[i].data())
+            {
+                *g *= act.slope(pre);
+            }
+            let layer = &mut self.layers[i];
+            layer.accumulate_param_grads(&cache.activations[i], &grad);
+            if i == 0 && !input_grad {
+                return None;
+            }
+            grad = layer.input_grad(&grad);
         }
-        grad
+        Some(grad)
     }
 
     /// Clears all accumulated gradients.

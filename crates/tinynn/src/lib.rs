@@ -5,6 +5,13 @@
 //! (every gradient verified against finite differences in the test suite),
 //! masked categorical action distributions, and the [`Adam`] optimizer.
 //!
+//! The backward pass never builds a transpose, and
+//! [`Mlp::accumulate_grads`] (the training path) skips the input gradient
+//! that no optimizer reads. Both keep every floating-point sum in the
+//! order of the textbook `xᵀ·g` / `g·Wᵀ` matmuls, so gradients are bitwise
+//! those of that formulation; `tests/backward_oracle.rs` keeps it as the
+//! reference.
+//!
 //! ```
 //! use tinynn::{Activation, AdamConfig, Adam, Matrix, Mlp};
 //! use rand::rngs::SmallRng;

@@ -1,10 +1,13 @@
 //! Dense row-major `f64` matrices — the only tensor type the networks need.
 //!
 //! The RLBackfilling networks are tiny (3-layer MLPs with tens of hidden
-//! units over at most a few hundred rows), so a straightforward cache-aware
-//! `matmul` is more than fast enough; correctness and testability beat
-//! micro-optimizations here. `f64` keeps finite-difference gradient checks
-//! tight.
+//! units), so a plain cache-aware `matmul` that skips zero left-hand
+//! entries is the only kernel. Speed comes from not computing what is never
+//! read rather than from faster arithmetic: callers score only the rows
+//! they read, and the layer backward pass avoids transposes and unread
+//! input gradients (see [`crate::layer`]). Those rewrites keep every sum in
+//! `matmul`'s order, so results stay bitwise reproducible. `f64` keeps
+//! finite-difference gradient checks tight.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -96,6 +99,11 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// A mutable view of row `r`.
+    pub fn row_slice_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Matrix product `self · rhs`. Panics on shape mismatch.
     ///
     /// The k-loop is hoisted outside the column loop (ikj order), which
@@ -180,6 +188,12 @@ impl Matrix {
     /// Scalar multiple.
     pub fn scale(&self, s: f64) -> Matrix {
         self.map(|x| x * s)
+    }
+
+    /// In-place scalar multiple: the bits of [`Self::scale`] without the
+    /// allocation.
+    pub fn scale_assign(&mut self, s: f64) {
+        self.data.iter_mut().for_each(|x| *x *= s);
     }
 
     /// Element-wise combination of two same-shape matrices.

@@ -1,6 +1,6 @@
 //! Workload and schedule analysis: distributional trace profiles and
 //! schedule timelines — the diagnostics behind the Table 2 calibration and
-//! the backfilling narratives in EXPERIMENTS.md.
+//! the backfilling narratives.
 //!
 //! ```text
 //! cargo run --release --example workload_analysis [trace-or-swf-path]

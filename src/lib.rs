@@ -14,8 +14,9 @@
 //! * [`rlbf`] — RLBackfilling itself: the backfilling environment, the
 //!   kernel policy / value networks, training and evaluation.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the paper-experiment index.
+//! See `examples/quickstart.rs` for a five-minute tour, `ARCHITECTURE.md`
+//! for the design, and `results/README.md` for the committed experiment
+//! outputs and the commands that regenerate them.
 
 pub use hpcsim;
 pub use ppo;
