@@ -12,8 +12,8 @@
 //!   of 129 at 128 slots). The scores it skips are never read, and the
 //!   gradient rows it skips are exactly zero, so log-probs, actions and
 //!   accumulated gradients are bitwise those of scoring every row (pinned
-//!   by the tests below). [`BackfillActorCritic::logits`] still scores every
-//!   row, for the audit log's `AgentPicked` score.
+//!   by the tests below). [`BackfillActorCritic::logits`] reads 0 on the
+//!   masked rows it skips.
 //! * **Value network** (§3.3.2): a 3-layer MLP over the *flattened*
 //!   observation ("the jobs are concat and flattened before being input"),
 //!   estimating the expected episode reward.
@@ -105,23 +105,17 @@ impl BackfillActorCritic {
         &self.cfg
     }
 
-    /// Action logits: the kernel applied to every row of the observation,
-    /// including the skip pseudo-job (last row).
+    /// Action logits, one per row of the observation including the skip
+    /// pseudo-job (last row): the kernel's score on each unmasked row, 0 on
+    /// masked rows, which the kernel does not score.
     pub fn logits(&self, obs: &Observation) -> Vec<f64> {
-        self.score(obs, true)
-    }
-
-    /// The masked action distribution at `obs` (job slots + skip), scoring
-    /// only the unmasked rows.
-    pub fn distribution(&self, obs: &Observation) -> MaskedCategorical {
-        MaskedCategorical::new(&self.score(obs, false), obs.action_mask())
-    }
-
-    /// Full-length logits from the kernel scoring the unmasked rows of
-    /// `obs`, or every row when `all_rows`.
-    fn score(&self, obs: &Observation, all_rows: bool) -> Vec<f64> {
-        let (rows, x) = policy_input(obs, all_rows);
+        let (rows, x) = policy_input(obs);
         scatter_scores(obs, &rows, &self.policy.forward(&x))
+    }
+
+    /// The masked action distribution at `obs` (job slots + skip).
+    pub fn distribution(&self, obs: &Observation) -> MaskedCategorical {
+        MaskedCategorical::new(&self.logits(obs), obs.action_mask())
     }
 
     /// Samples an action (training-time exploration). Returns
@@ -179,12 +173,10 @@ impl BackfillActorCritic {
     }
 }
 
-/// The kernel policy's input: the unmasked rows of `obs.features`, or every
-/// row when `all_rows`, gathered in order, with their row indices.
-fn policy_input(obs: &Observation, all_rows: bool) -> (Vec<usize>, Matrix) {
-    let rows: Vec<usize> = (0..obs.mask.len())
-        .filter(|&r| all_rows || obs.mask[r])
-        .collect();
+/// The kernel policy's input: the unmasked rows of `obs.features`,
+/// gathered in order, with their row indices.
+fn policy_input(obs: &Observation) -> (Vec<usize>, Matrix) {
+    let rows: Vec<usize> = (0..obs.mask.len()).filter(|&r| obs.mask[r]).collect();
     let mut data = Vec::with_capacity(rows.len() * JOB_FEATURES);
     for &r in &rows {
         data.extend_from_slice(obs.features.row_slice(r));
@@ -223,7 +215,7 @@ impl ActorCritic<Observation> for BackfillActorCritic {
     }
 
     fn accumulate_policy_grad(&mut self, obs: &Observation, action: usize, coef: f64) {
-        let (rows, x) = policy_input(obs, false);
+        let (rows, x) = policy_input(obs);
         let (out, cache) = self.policy.forward_cached(&x);
         let logits = scatter_scores(obs, &rows, &out);
         let mask = obs.action_mask();
@@ -505,8 +497,16 @@ mod tests {
                     let logits = all_rows_logits(&ac, &obs);
                     let oracle = MaskedCategorical::new(&logits, obs.action_mask());
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&ac.logits(&obs)), bits(&logits), "{what}: logits");
                     let valid: Vec<usize> = (0..obs.mask.len()).filter(|&a| obs.mask[a]).collect();
+                    let fast_logits = ac.logits(&obs);
+                    for r in 0..obs.mask.len() {
+                        let expected = if obs.mask[r] { logits[r] } else { 0.0 };
+                        assert_eq!(
+                            fast_logits[r].to_bits(),
+                            expected.to_bits(),
+                            "{what}: logits[{r}]"
+                        );
+                    }
                     for &a in &valid {
                         assert_eq!(
                             ac.log_prob(&obs, a).to_bits(),

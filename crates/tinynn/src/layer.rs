@@ -88,11 +88,7 @@ impl Linear {
     /// Forward pass for a batch `x` (`batch × in`).
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w);
-        for r in 0..y.rows() {
-            for (v, &b) in y.row_slice_mut(r).iter_mut().zip(self.b.data()) {
-                *v += b;
-            }
-        }
+        y.add_row_broadcast_assign(&self.b);
         y
     }
 

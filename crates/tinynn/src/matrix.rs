@@ -145,17 +145,15 @@ impl Matrix {
         out
     }
 
-    /// Adds a 1×cols row vector to every row (bias broadcast).
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
+    /// Adds a 1×cols row vector to every row in place (bias broadcast).
+    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut out = self.clone();
         for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[r * self.cols + c] += bias.data[c];
+            for (v, &b) in self.row_slice_mut(r).iter_mut().zip(&bias.data) {
+                *v += b;
             }
         }
-        out
     }
 
     /// Element-wise map.
@@ -287,12 +285,23 @@ mod tests {
 
     #[test]
     fn bias_broadcast_adds_to_every_row() {
-        let a = Matrix::zeros(3, 2);
-        let b = Matrix::row(vec![1.0, -1.0]);
-        let c = a.add_row_broadcast(&b);
+        let mut a = Matrix::zeros(3, 2);
+        a.add_row_broadcast_assign(&Matrix::row(vec![1.0, -1.0]));
         for r in 0..3 {
-            assert_eq!(c.row_slice(r), &[1.0, -1.0]);
+            assert_eq!(a.row_slice(r), &[1.0, -1.0]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "bias width mismatch")]
+    fn bias_broadcast_rejects_a_bias_of_the_wrong_width() {
+        Matrix::zeros(3, 2).add_row_broadcast_assign(&Matrix::row(vec![1.0, -1.0, 0.5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "bias must be a row vector")]
+    fn bias_broadcast_rejects_a_bias_with_several_rows() {
+        Matrix::zeros(3, 2).add_row_broadcast_assign(&Matrix::zeros(2, 2));
     }
 
     #[test]

@@ -82,7 +82,9 @@ impl OracleMlp {
 }
 
 fn x_times_w_plus_b(layer: &Linear, x: &Matrix) -> Matrix {
-    x.matmul(&layer.w).add_row_broadcast(&layer.b)
+    let mut y = x.matmul(&layer.w);
+    y.add_row_broadcast_assign(&layer.b);
+    y
 }
 
 fn assert_bitwise(what: &str, a: &Matrix, b: &Matrix) {
